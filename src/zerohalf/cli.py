@@ -10,6 +10,7 @@ diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -96,12 +97,15 @@ class _Tokens:
         if item[0] != word:
             raise self._fail(f"expected {word}", item)
 
-    def integer(self, what: str) -> int:
+    def integer(self, what: str, minimum: int | None = None) -> int:
         item = self.take(what)
         try:
-            return int(item[0])
+            value = int(item[0])
         except ValueError:
             raise self._fail(f"expected {what} (an integer)", item) from None
+        if minimum is not None and value < minimum:
+            raise self._fail(f"expected {what} of at least {minimum}", item)
+        return value
 
     def fraction(self, what: str) -> Fraction:
         item = self.take(what)
@@ -124,23 +128,23 @@ class _Tokens:
 def parse_instance(text: str, source: str = "instance") -> IlpInstance:
     t = _Tokens(text, source)
     t.keyword("ROWS")
-    m = t.integer("row count")
+    m = t.integer("row count", minimum=1)
     t.keyword("COLS")
-    n = t.integer("column count")
+    n = t.integer("column count", minimum=1)
     t.keyword("A")
     A = tuple(
-        tuple(t.integer(f"A[{j + 1}][{i + 1}]") for i in range(n)) for j in range(m)
+        [tuple([t.integer(f"A[{j + 1}][{i + 1}]") for i in range(n)]) for j in range(m)]
     )
     t.keyword("B")
-    b = tuple(t.integer(f"B[{j + 1}]") for j in range(m))
+    b = tuple([t.integer(f"B[{j + 1}]") for j in range(m)])
     t.keyword("LOWER")
-    lower = tuple(t.flag(f"LOWER[{i + 1}]") for i in range(n))
+    lower = tuple([t.flag(f"LOWER[{i + 1}]") for i in range(n)])
     t.keyword("UPPER")
-    upper = tuple(t.flag(f"UPPER[{i + 1}]") for i in range(n))
+    upper = tuple([t.flag(f"UPPER[{i + 1}]") for i in range(n)])
     objective = None
     item = t.take("OBJ or END")
     if item[0] == "OBJ":
-        objective = tuple(t.integer(f"OBJ[{i + 1}]") for i in range(n))
+        objective = tuple([t.integer(f"OBJ[{i + 1}]") for i in range(n)])
         item = t.take("END")
     if item[0] != "END":
         raise t._fail("expected END", item)
@@ -150,7 +154,7 @@ def parse_instance(text: str, source: str = "instance") -> IlpInstance:
 
 def parse_point(text: str, n: int, source: str = "point") -> Point:
     t = _Tokens(text, source)
-    pt = tuple(t.fraction(f"coordinate {i + 1}") for i in range(n))
+    pt = tuple([t.fraction(f"coordinate {i + 1}") for i in range(n)])
     t.finish()
     return pt
 
@@ -296,8 +300,8 @@ def _approx_after_total_presolve(inst, params, report) -> int:
         sub = IlpInstance(
             A=((0,) * len(keep),),
             b=(0,),
-            lower_present=tuple(inst.lower_present[i] for i in keep),
-            upper_present=tuple(inst.upper_present[i] for i in keep),
+            lower_present=tuple([inst.lower_present[i] for i in keep]),
+            upper_present=tuple([inst.upper_present[i] for i in keep]),
         )
         rows, rhs = box_rows(sub)
         res = lp_solve(rows, rhs, [inst.objective[i] for i in keep])
@@ -340,9 +344,9 @@ def _cmd_check(ns) -> int:
     bad = inst.feasibility_failure(xhat)
     if bad is not None:
         raise ZeroHalfError(f"xhat is infeasible: {bad}")
-    lam = tuple(Fraction(v) for v in ns.lam)
-    down = tuple(Fraction(v) for v in ns.mu_down) if ns.mu_down else (Fraction(0),) * inst.n
-    up = tuple(Fraction(v) for v in ns.mu_up) if ns.mu_up else (Fraction(0),) * inst.n
+    lam = tuple([Fraction(v) for v in ns.lam])
+    down = tuple([Fraction(v) for v in ns.mu_down]) if ns.mu_down else (Fraction(0),) * inst.n
+    up = tuple([Fraction(v) for v in ns.mu_up]) if ns.mu_up else (Fraction(0),) * inst.n
     try:
         mult = Multipliers(lam, down, up)
         cut = derive_cut(inst, mult)
@@ -388,8 +392,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="zerohalf", description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker-count hint; the current build runs sequentially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("separate", help="primal separation at an integral point")
@@ -435,10 +437,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """One parser per process: building it is costly and leaves reference cycles."""
+    return build_parser()
+
+
 def run_command(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _shared_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

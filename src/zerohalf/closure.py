@@ -108,22 +108,22 @@ def monotone_presolve(
     if any(v < 0 for v in instance.b):
         raise PresolveError("a negative right-hand side is unsatisfiable over x >= 0")
     fixed: set[int] = set()
-    dropped = tuple(j for j in range(instance.m) if instance.b[j] == 0)
+    dropped = tuple([j for j in range(instance.m) if instance.b[j] == 0])
     for j in dropped:
         fixed.update(i for i, a in enumerate(instance.A[j]) if a)
-    kept_rows = tuple(j for j in range(instance.m) if instance.b[j] != 0)
-    kept_coords = tuple(i for i in range(instance.n) if i not in fixed)
+    kept_rows = tuple([j for j in range(instance.m) if instance.b[j] != 0])
+    kept_coords = tuple([i for i in range(instance.n) if i not in fixed])
     report = PresolveReport(tuple(sorted(fixed)), dropped, kept_coords, kept_rows)
     if not kept_rows or not kept_coords:
         return None, report
     reduced = IlpInstance(
-        A=tuple(tuple(instance.A[j][i] for i in kept_coords) for j in kept_rows),
-        b=tuple(instance.b[j] for j in kept_rows),
-        lower_present=tuple(instance.lower_present[i] for i in kept_coords),
-        upper_present=tuple(instance.upper_present[i] for i in kept_coords),
+        A=tuple([tuple([instance.A[j][i] for i in kept_coords]) for j in kept_rows]),
+        b=tuple([instance.b[j] for j in kept_rows]),
+        lower_present=tuple([instance.lower_present[i] for i in kept_coords]),
+        upper_present=tuple([instance.upper_present[i] for i in kept_coords]),
         objective=None
         if instance.objective is None
-        else tuple(instance.objective[i] for i in kept_coords),
+        else tuple([instance.objective[i] for i in kept_coords]),
     )
     return reduced, report
 
@@ -160,7 +160,7 @@ def enumerate_bounded_cuts(
         sums = [sum(p[j] * col[j] for j in support) for col in cols]
         if any(s % q for s in sums):
             continue
-        coeffs = tuple(s // q for s in sums)
+        coeffs = tuple([s // q for s in sums])
         rhs = sum(p[j] * instance.b[j] for j in support) // q
         old = seen.get(coeffs)
         if old is None:
@@ -173,7 +173,7 @@ def enumerate_bounded_cuts(
     for coeffs in order:
         rhs, p = seen[coeffs]
         mult = Multipliers(
-            tuple(Fraction(v, q) for v in p), zero, zero, modulus=q
+            tuple([Fraction(v, q) for v in p]), zero, zero, modulus=q
         )
         cut = derive_cut(instance, mult)
         if cut.coeffs != coeffs or cut.rhs != rhs:

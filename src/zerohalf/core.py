@@ -87,7 +87,7 @@ class InternalConsistencyError(ZeroHalfError):
 
 def as_point(values: Iterable[int | str | Fraction]) -> Point:
     """Coerce a sequence of ints / 'p/q' strings / Fractions into a Point."""
-    return tuple(Fraction(v) for v in values)
+    return tuple([Fraction(v) for v in values])
 
 
 def is_integral(point: Sequence[Fraction]) -> bool:
@@ -110,13 +110,13 @@ class IlpInstance:
     objective: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        A = tuple(tuple(int(a) for a in row) for row in self.A)
+        A = tuple([tuple([int(a) for a in row]) for row in self.A])
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
-        object.__setattr__(self, "lower_present", tuple(bool(v) for v in self.lower_present))
-        object.__setattr__(self, "upper_present", tuple(bool(v) for v in self.upper_present))
+        object.__setattr__(self, "b", tuple([int(v) for v in self.b]))
+        object.__setattr__(self, "lower_present", tuple([bool(v) for v in self.lower_present]))
+        object.__setattr__(self, "upper_present", tuple([bool(v) for v in self.upper_present]))
         if self.objective is not None:
-            object.__setattr__(self, "objective", tuple(int(v) for v in self.objective))
+            object.__setattr__(self, "objective", tuple([int(v) for v in self.objective]))
         if not A or not A[0]:
             raise DimensionMismatchError("instance needs at least one row and one column")
         n = len(A[0])
@@ -142,7 +142,7 @@ class IlpInstance:
         return sum((a * xv for a, xv in zip(self.A[j], x)), Fraction(0))
 
     def slacks(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(self.b[j] - self.row_value(j, x) for j in range(self.m))
+        return tuple([self.b[j] - self.row_value(j, x) for j in range(self.m)])
 
     def feasibility_failure(self, x: Sequence[Fraction]) -> str | None:
         """Return a description of the first violated constraint, or None."""
@@ -181,9 +181,9 @@ class Multipliers:
     modulus: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(Fraction(v) for v in self.lam))
-        object.__setattr__(self, "mu_down", tuple(Fraction(v) for v in self.mu_down))
-        object.__setattr__(self, "mu_up", tuple(Fraction(v) for v in self.mu_up))
+        object.__setattr__(self, "lam", tuple([Fraction(v) for v in self.lam]))
+        object.__setattr__(self, "mu_down", tuple([Fraction(v) for v in self.mu_down]))
+        object.__setattr__(self, "mu_up", tuple([Fraction(v) for v in self.mu_up]))
         if self.modulus < 2:
             raise MultiplierError(f"modulus {self.modulus} out of range")
         if len(self.mu_down) != len(self.mu_up):
@@ -219,7 +219,7 @@ class Multipliers:
         return cls(tuple(lam), tuple(down), tuple(up), modulus)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.lam) if v)
+        return tuple([j for j, v in enumerate(self.lam) if v])
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ class Cut:
     provenance: Multipliers
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple([int(c) for c in self.coeffs]))
         object.__setattr__(self, "rhs", int(self.rhs))
 
 
@@ -270,7 +270,7 @@ def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> S
     bad = instance.feasibility_failure(xstar)
     if bad is not None:
         raise InfeasiblePointError("xstar", bad)
-    slack_hat = tuple(int(s) for s in instance.slacks(xhat))
+    slack_hat = tuple([int(s) for s in instance.slacks(xhat)])
     slack_star = instance.slacks(xstar)
     ones = frozenset(j for j, s in enumerate(slack_hat) if s == 1)
     tight = frozenset(j for j, s in enumerate(slack_hat) if s == 0)

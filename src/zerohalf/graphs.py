@@ -61,7 +61,7 @@ class CapacitatedGraph:
     def __init__(self, nodes: Iterable[Hashable], edges: Iterable[FlowEdge]):
         self.nodes = tuple(nodes)
         self.edges = tuple(
-            FlowEdge(e.u, e.v, Fraction(e.capacity), e.tag) for e in edges
+            [FlowEdge(e.u, e.v, Fraction(e.capacity), e.tag) for e in edges]
         )
         _check_edges(self.nodes, self.edges, "capacity")
 
@@ -70,7 +70,7 @@ class LengthGraph:
     def __init__(self, nodes: Iterable[Hashable], edges: Iterable[LengthEdge]):
         self.nodes = tuple(nodes)
         self.edges = tuple(
-            LengthEdge(e.u, e.v, Fraction(e.length), e.tag) for e in edges
+            [LengthEdge(e.u, e.v, Fraction(e.length), e.tag) for e in edges]
         )
         _check_edges(self.nodes, self.edges, "length")
 

@@ -45,7 +45,7 @@ class WeightedGraph:
         if self.node_count < 0:
             raise ZeroHalfError("negative node count")
         object.__setattr__(
-            self, "edges", tuple(tuple(int(x) for x in e) for e in self.edges)
+            self, "edges", tuple([tuple([int(x) for x in e]) for e in self.edges])
         )
         seen = set()
         for u, v, _ in self.edges:
@@ -99,19 +99,19 @@ def incidence_instance(
     rejected by the instance type itself.
     """
     if weights is None:
-        weights = tuple(w for _, _, w in graph.edges)
+        weights = tuple([w for _, _, w in graph.edges])
     if len(weights) != len(graph.edges):
         raise ZeroHalfError("one weight per edge required")
     n = len(graph.edges)
     rows = []
     for v in range(graph.node_count):
-        rows.append(tuple(1 if v in (e[0], e[1]) else 0 for e in graph.edges))
+        rows.append(tuple([1 if v in (e[0], e[1]) else 0 for e in graph.edges]))
     return IlpInstance(
         A=tuple(rows),
         b=(1,) * graph.node_count,
         lower_present=(True,) * n,
         upper_present=(True,) * n,
-        objective=tuple(int(w) for w in weights),
+        objective=tuple([int(w) for w in weights]),
     )
 
 
@@ -168,31 +168,38 @@ def _best_toggle(
             if best is None or key < best:
                 best = key
 
-    def extend(start: int, at: int, seq: list[int], seen_nodes: set[int]) -> None:
-        record(seq, start, at)
-        last_matched = seq[-1] in matched
-        for e, w in adj[at]:
-            if e in seq or (e in matched) == last_matched:
-                continue
-            if w == start:
-                # closing edge: also alternate against the first edge
-                if (e in matched) != (seq[0] in matched):
-                    record_cycle(seq + [e])
-                continue
-            if w in seen_nodes:
-                continue
-            seq.append(e)
-            seen_nodes.add(w)
-            extend(start, w, seq, seen_nodes)
-            seen_nodes.remove(w)
-            seq.pop()
-
     for v0 in range(graph.node_count):
         for e, w in adj[v0]:
-            extend(v0, w, [e], {v0, w})
+            _extend(adj, matched, record, record_cycle, v0, w, [e], {v0, w})
     if best is None:
         return None
     return frozenset(best[1])
+
+
+def _extend(adj, matched, record, record_cycle, start: int, at: int, seq: list[int],
+            seen_nodes: set[int]) -> None:
+    """Report the alternating walk ``seq`` from ``start`` to ``at`` and its extensions.
+
+    A module-level function, so the recursion leaves no reference cycle
+    through a closure cell.
+    """
+    record(seq, start, at)
+    last_matched = seq[-1] in matched
+    for e, w in adj[at]:
+        if e in seq or (e in matched) == last_matched:
+            continue
+        if w == start:
+            # closing edge: also alternate against the first edge
+            if (e in matched) != (seq[0] in matched):
+                record_cycle(seq + [e])
+            continue
+        if w in seen_nodes:
+            continue
+        seq.append(e)
+        seen_nodes.add(w)
+        _extend(adj, matched, record, record_cycle, start, w, seq, seen_nodes)
+        seen_nodes.remove(w)
+        seq.pop()
 
 
 def solve_matching(
@@ -200,8 +207,8 @@ def solve_matching(
 ) -> MatchingResult:
     """Maximum-weight matching; weights default to the graph's own."""
     if weights is None:
-        weights = tuple(w for _, _, w in graph.edges)
-    weights = tuple(int(w) for w in weights)
+        weights = tuple([w for _, _, w in graph.edges])
+    weights = tuple([int(w) for w in weights])
     if len(weights) != len(graph.edges):
         raise ZeroHalfError("one weight per edge required")
     if any(w < 0 for w in weights):
@@ -249,7 +256,7 @@ def solve_matching(
                 "no cut and no improving alternating toggle; the solver is stuck"
             )
         xhat = tuple(
-            Fraction(1) - x if e in toggle else x for e, x in enumerate(xhat)
+            [Fraction(1) - x if e in toggle else x for e, x in enumerate(xhat)]
         )
         counters.augmentations += 1
 
@@ -261,7 +268,7 @@ def _finish(
     counters: MatchingCounters,
     cuts: list[Cut],
 ) -> MatchingResult:
-    picked = tuple(e for e, x in enumerate(xvec) if x == 1)
+    picked = tuple([e for e, x in enumerate(xvec) if x == 1])
     used = set()
     for e in picked:
         u, v, _ = graph.edges[e]

@@ -91,8 +91,8 @@ def _iter_raw_multipliers(
             spent += 1
             if spent > budget:
                 raise BudgetExceededError(f"more than {budget} multiplier candidates")
-            down = tuple(c[0] for c in combo)
-            up = tuple(c[1] for c in combo)
+            down = tuple([c[0] for c in combo])
+            up = tuple([c[1] for c in combo])
             yield lam, down, up
 
 
@@ -100,9 +100,9 @@ def _materialize(nums, modulus: int) -> Multipliers:
     lam, down, up = nums
     q = modulus
     return Multipliers(
-        tuple(Fraction(p, q) for p in lam),
-        tuple(Fraction(d, q) for d in down),
-        tuple(Fraction(u, q) for u in up),
+        tuple([Fraction(p, q) for p in lam]),
+        tuple([Fraction(d, q) for d in down]),
+        tuple([Fraction(u, q) for u in up]),
         modulus=q,
     )
 
@@ -136,7 +136,7 @@ def _point_numerators(point: Point) -> tuple[list[int], int]:
 
 def _tie_key(nums):
     lam, down, up = nums
-    support = tuple(j for j, p in enumerate(lam) if p)
+    support = tuple([j for j, p in enumerate(lam) if p])
     return (support, lam, down, up)
 
 

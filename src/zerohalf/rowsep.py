@@ -83,7 +83,7 @@ def enumerate_row_candidates(ctx: SeparationContext) -> list[RowCandidate]:
     inst = ctx.instance
     out = []
     for j in sorted(ctx.slack_one_rows):
-        odd = tuple(i for i in range(inst.n) if inst.A[j][i] % 2)
+        odd = tuple([i for i in range(inst.n) if inst.A[j][i] % 2])
         if len(odd) == 2:
             terminals = odd
         elif len(odd) == 1:

@@ -1,15 +1,27 @@
 """Exact rational LP solver.
 
-Dense two-phase simplex over ``fractions.Fraction`` with Bland's pivot rule,
-so termination needs no tolerances and results are deterministic.  Only
-``a . x <= rhs`` constraints are accepted; callers encode lower bounds and
-equations as inequality pairs.  Variables are free by default and split into
-positive and negative parts internally; ``nonneg=True`` skips the split for
-callers whose constraint set already implies ``x >= 0``.
+Dense two-phase simplex with Bland's pivot rule, so termination needs no
+tolerances and results are deterministic.  Only ``a . x <= rhs``
+constraints are accepted; callers encode lower bounds and equations as
+inequality pairs.  Variables are free by default and split into positive
+and negative parts internally; ``nonneg=True`` skips the split for callers
+whose constraint set already implies ``x >= 0``.
+
+The tableau holds Python integers over one common denominator ``D``, the
+absolute determinant of the current basis (integer-preserving pivoting,
+Edmonds 1967; Bareiss 1968).  Each input row and the objective are first
+scaled by the lcm of their denominators.  A positive row scale only
+rescales that row's slack and artificial variable, so reduced-cost signs
+and ratio orderings, and with them Bland's pivot path, are those of the
+rational tableau.  Pivoting on ``p = T[r][c]`` keeps row ``r`` and sets
+every other row (the objective row included) to
+``(T[i] * p - T[i][c] * T[r]) / D``, a division that is always exact;
+``p`` becomes the new ``D``.  Fractions are built only for the returned
+value and point.
 
 Every optimal solve is certified before returning: the simplex multipliers
-are read off the final tableau and checked as an exact feasible dual with
-matching objective value.  A failed certificate raises
+are read off the final reduced costs and checked, in integers, as an exact
+feasible dual with matching objective value.  A failed certificate raises
 InternalConsistencyError since it can only mean a solver bug.
 """
 
@@ -18,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .core import InternalConsistencyError
@@ -36,22 +49,40 @@ class LpResult:
     point: tuple[Fraction, ...] | None = None
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    inv = 1 / tab[row][col]
-    tab[row] = [v * inv for v in tab[row]]
+def _integer_row(values: Sequence) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, and that lcm."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    fracs = [Fraction(v) for v in values]
+    scale = lcm(*[f.denominator for f in fracs])
+    return [f.numerator * (scale // f.denominator) for f in fracs], scale
+
+
+def _pivot(tab: list[list[int]], basis: list[int], den: int, row: int, col: int,
+           obj: list[int] | None = None) -> int:
+    """Pivot on ``tab[row][col]`` (also updating ``obj``); returns the new D."""
     prow = tab[row]
-    for r in range(len(tab)):
+    p = prow[col]
+    if p < 0:
+        # negating the pivot row first keeps the new denominator positive
+        prow = tab[row] = [-v for v in prow]
+        p = -p
+    rows = tab if obj is None else tab + [obj]
+    for r, cur in enumerate(rows):
         if r == row:
             continue
-        factor = tab[r][col]
-        if factor:
-            tab[r] = [a - factor * b for a, b in zip(tab[r], prow)]
+        f = cur[col]
+        if f:
+            cur[:] = [(a * p - f * b) // den for a, b in zip(cur, prow)]
+        elif p != den:
+            cur[:] = [a * p // den for a in cur]
     basis[row] = col
+    return p
 
 
-def _price(tab, basis, cost):
-    """Reduced-cost row for ``cost``; last entry is the negated objective."""
-    obj = list(cost) + [Fraction(0)]
+def _price(tab: list[list[int]], basis: list[int], den: int, cost: list[int]) -> list[int]:
+    """Reduced-cost row for ``cost`` over ``den``; last entry is the negated objective."""
+    obj = [den * c for c in cost] + [0]
     for r, bcol in enumerate(basis):
         cb = cost[bcol]
         if cb:
@@ -59,8 +90,8 @@ def _price(tab, basis, cost):
     return obj
 
 
-def _run_simplex(tab, basis, obj, allowed) -> bool:
-    """Bland pivoting until optimal (True) or unbounded (False)."""
+def _run_simplex(tab, basis, den: int, obj, allowed) -> tuple[bool, int]:
+    """Bland pivoting until optimal (True) or unbounded (False); returns the final D too."""
     width = len(obj) - 1
     while True:
         enter = -1
@@ -69,22 +100,23 @@ def _run_simplex(tab, basis, obj, allowed) -> bool:
                 enter = j
                 break
         if enter < 0:
-            return True
+            return True, den
         leave = -1
-        best = None
+        best_num = best_den = 0
         for r, row in enumerate(tab):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+                if leave < 0:
+                    best_num, best_den, leave = row[-1], a, r
+                    continue
+                # ratios row[-1] / a compared by cross-multiplication
+                lhs = row[-1] * best_den
+                rhs = best_num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    best_num, best_den, leave = row[-1], a, r
         if leave < 0:
-            return False
-        _pivot(tab, basis, leave, enter)
-        factor = obj[enter]
-        if factor:
-            obj[:] = [o - factor * v for o, v in zip(obj, tab[leave])]
+            return False, den
+        den = _pivot(tab, basis, den, leave, enter, obj)
 
 
 def lp_solve(
@@ -97,114 +129,122 @@ def lp_solve(
 ) -> LpResult:
     """Optimize ``objective . x`` subject to ``rows[j] . x <= rhs[j]``."""
     n = len(objective)
-    rows = [[Fraction(a) for a in row] for row in rows]
-    rhs_orig = [Fraction(v) for v in rhs]
     if any(len(row) != n for row in rows):
         raise ValueError("row length does not match objective length")
-    # internally always maximize cprime
-    cprime = [Fraction(c) if maximize else -Fraction(c) for c in objective]
-
     m = len(rows)
+    # a[j] = row j and rhs j scaled to integers by s_j > 0
+    scaled = [_integer_row(list(rows[j]) + [rhs[j]]) for j in range(m)]
+    a = [row for row, _ in scaled]
+    # internally always maximize cprime, scaled to integers by cscale > 0
+    cprime, cscale = _integer_row(objective)
+    if not maximize:
+        cprime = [-c for c in cprime]
+
     struct = n if nonneg else 2 * n
     width = struct + m
 
-    negated = [v < 0 for v in rhs_orig]
+    negated = [a[j][-1] < 0 for j in range(m)]
     art_rows = [j for j in range(m) if negated[j]]
     total = width + len(art_rows)
 
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     for j in range(m):
-        if nonneg:
-            body = list(rows[j])
-        else:
-            body = list(rows[j]) + [-a for a in rows[j]]
-        slack = [Fraction(0)] * m
-        slack[j] = Fraction(1)
-        b = rhs_orig[j]
+        body = a[j][:n]
+        if not nonneg:
+            body += [-v for v in body]
+        slack = [0] * m
+        slack[j] = 1
+        b = a[j][-1]
         if negated[j]:
-            body = [-a for a in body]
-            slack[j] = Fraction(-1)
+            body = [-v for v in body]
+            slack[j] = -1
             b = -b
-        art = [Fraction(0)] * len(art_rows)
-        tab.append(body + slack + art + [b])
+        tab.append(body + slack + [0] * len(art_rows) + [b])
     for k, j in enumerate(art_rows):
-        tab[j][width + k] = Fraction(1)
+        tab[j][width + k] = 1
 
     basis = [width + art_rows.index(j) if negated[j] else struct + j for j in range(m)]
     allowed = [True] * total
+    den = 1
 
     if art_rows:
-        cost1 = [Fraction(0)] * total
-        for k in range(len(art_rows)):
-            cost1[width + k] = Fraction(-1)
-        obj = _price(tab, basis, cost1)
-        if not _run_simplex(tab, basis, obj, allowed):
+        # Artificial k carries s_j times its rational counterpart, so the
+        # phase-1 cost -L/s_j (L the lcm of those scales) is L times the
+        # rational phase-1 objective and keeps every reduced-cost sign.
+        art_lcm = lcm(*[scaled[j][1] for j in art_rows])
+        cost1 = [0] * total
+        for k, j in enumerate(art_rows):
+            cost1[width + k] = -(art_lcm // scaled[j][1])
+        obj = _price(tab, basis, den, cost1)
+        bounded, den = _run_simplex(tab, basis, den, obj, allowed)
+        if not bounded:
             raise InternalConsistencyError("phase 1 cannot be unbounded")
-        if -obj[-1] < 0:
+        if obj[-1] > 0:
             return LpResult(LpStatus.INFEASIBLE)
-        # drive leftover artificials out of the basis, drop redundant rows
-        drop = []
+        # Drive leftover artificials out of the basis.  The slack columns
+        # are a signed identity, so no row is zero on the first width
+        # columns and no row is ever redundant.
         for r in range(len(tab)):
             if basis[r] >= width:
                 pcol = next((j for j in range(width) if tab[r][j] != 0), None)
                 if pcol is None:
-                    drop.append(r)
-                else:
-                    _pivot(tab, basis, r, pcol)
-        for r in sorted(drop, reverse=True):
-            del tab[r]
-            del basis[r]
+                    raise InternalConsistencyError("tableau row vanished on the slack columns")
+                den = _pivot(tab, basis, den, r, pcol)
         for k in range(len(art_rows)):
             allowed[width + k] = False
 
-    cost2 = [Fraction(0)] * total
-    if nonneg:
-        for i in range(n):
-            cost2[i] = cprime[i]
-    else:
-        for i in range(n):
-            cost2[i] = cprime[i]
-            cost2[n + i] = -cprime[i]
-    obj = _price(tab, basis, cost2)
-    if not _run_simplex(tab, basis, obj, allowed):
+    cost2 = [0] * total
+    cost2[:n] = cprime
+    if not nonneg:
+        cost2[n:struct] = [-c for c in cprime]
+    obj = _price(tab, basis, den, cost2)
+    bounded, den = _run_simplex(tab, basis, den, obj, allowed)
+    if not bounded:
         return LpResult(LpStatus.UNBOUNDED)
-    vprime = -obj[-1]
 
-    assign = [Fraction(0)] * total
+    assign = [0] * total
     for r, bcol in enumerate(basis):
         assign[bcol] = tab[r][-1]
-    if nonneg:
-        point = tuple(assign[:n])
-    else:
-        point = tuple(assign[i] - assign[n + i] for i in range(n))
+    # xnum = den * x
+    xnum = assign[:n] if nonneg else [assign[i] - assign[n + i] for i in range(n)]
 
-    _certify(rows, rhs_orig, cprime, nonneg, obj, struct, m, point, vprime)
+    _certify(a, cprime, nonneg, obj, struct, den, xnum)
+    vprime = Fraction(-obj[-1], den * cscale)
+    point = tuple([Fraction(v, den) for v in xnum])
     return LpResult(LpStatus.OPTIMAL, vprime if maximize else -vprime, point)
 
 
-def _certify(rows, rhs, cprime, nonneg, obj, struct, m, point, vprime):
-    """Exact optimality certificate from the final reduced costs.
+def _certify(a, cprime, nonneg, obj, struct, den, xnum):
+    """Exact optimality certificate from the final reduced costs, in integers.
 
-    The multiplier of row j is the negated reduced cost of its slack column;
-    the formula is unaffected by rows that were flipped for phase 1 because
+    ``a`` holds the scaled rows with their right-hand sides last; ``obj``
+    and ``xnum`` are over the common denominator ``den``.  The multiplier
+    of row j is the negated reduced cost of its slack column, so
+    ``y = -obj[slack]`` is ``den`` times the dual of the scaled system; the
+    formula is unaffected by rows that were flipped for phase 1 because
     flipping negates both the column and the multiplier.
     """
     n = len(cprime)
+    m = len(a)
     duals = [-obj[struct + j] for j in range(m)]
     if any(y < 0 for y in duals):
         raise InternalConsistencyError("negative dual multiplier")
+    # y^T [A | b], accumulated over the rows with a nonzero multiplier
+    ya = [0] * (n + 1)
+    for y, row in zip(duals, a):
+        if y:
+            ya = [s + y * v for s, v in zip(ya, row)]
     for i in range(n):
-        col = sum((duals[j] * rows[j][i] for j in range(m)), Fraction(0))
+        target = den * cprime[i]
         if nonneg:
-            if col < cprime[i]:
+            if ya[i] < target:
                 raise InternalConsistencyError("dual constraint violated")
-        elif col != cprime[i]:
+        elif ya[i] != target:
             raise InternalConsistencyError("dual equality violated")
-    if sum((duals[j] * rhs[j] for j in range(m)), Fraction(0)) != vprime:
+    if ya[n] != -obj[-1]:
         raise InternalConsistencyError("duality gap in certificate")
-    for j in range(m):
-        lhs = sum((rows[j][i] * point[i] for i in range(n)), Fraction(0))
-        if lhs > rhs[j]:
+    for row in a:
+        if sum([v * x for v, x in zip(row, xnum)]) > den * row[-1]:
             raise InternalConsistencyError("returned point violates a row")
-    if nonneg and any(v < 0 for v in point):
+    if nonneg and any(v < 0 for v in xnum):
         raise InternalConsistencyError("returned point has a negative coordinate")

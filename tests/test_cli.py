@@ -1,5 +1,6 @@
 """Command-line interface: formats, subcommands, exit codes."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -98,6 +99,19 @@ class TestFormats:
     def test_graph_endpoints_are_one_indexed(self):
         with pytest.raises(FileFormatError, match="1..2"):
             parse_graph("NODES 2\nEDGES 1\n0 1 4\n")
+
+    def test_zero_counts_are_format_errors(self, tmp_path, capsys):
+        cases = (
+            ("ROWS 0\nCOLS 2\nA\nB\nLOWER\n1 1\nUPPER\n1 1\nEND\n", "line 1 column 6"),
+            ("ROWS 1\nCOLS 0\nA\nB\n1\nLOWER\nUPPER\nEND\n", "line 2 column 6"),
+        )
+        for text, where in cases:
+            with pytest.raises(FileFormatError, match=where):
+                parse_instance(text)
+            path = tmp_path / "empty.inst"
+            path.write_text(text)
+            assert run_command(["oracle-opt", "--instance", str(path)]) == 1
+            assert where in capsys.readouterr().err
 
 
 class TestSeparate:
@@ -365,6 +379,47 @@ class TestGen:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith(("CUT", "NONE"))
+
+
+class TestGarbage:
+    """Commands free what they allocate by reference counting alone.
+
+    Cyclic garbage waits for a full collection, which a run of cheap
+    commands may never trigger, so it would pile up in a long-lived
+    process.
+    """
+
+    # two triangles joined by a lighter edge: one cut and one augmentation
+    CHAIN = "NODES 6\nEDGES 7\n1 2 2\n2 3 2\n1 3 2\n3 4 1\n4 5 2\n5 6 2\n4 6 2\n"
+
+    def test_commands_leave_no_cyclic_garbage(self, k3_paths, tmp_path, capsys):
+        inst, xhat, xstar = k3_paths
+        graph = tmp_path / "chain.graph"
+        graph.write_text(self.CHAIN)
+        commands = (
+            ["match", "--graph", str(graph), "--stats"],
+            ["separate", "--instance", inst, "--xhat", xhat, "--xstar", xstar,
+             "--method", "col"],
+            ["separate", "--instance", inst, "--xhat", xhat, "--xstar", xstar,
+             "--method", "row"],
+            ["approx", "--instance", inst, "--epsilon", "1/2"],
+            ["oracle-opt", "--instance", inst],
+        )
+        enabled = gc.isenabled()
+        try:
+            for argv in commands:
+                assert run_command(argv) == 0  # warm-up: imports, caches
+                gc.collect()
+                gc.disable()
+                assert run_command(argv) == 0
+                assert gc.collect() == 0, argv
+                gc.enable()
+        finally:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+        capsys.readouterr()
 
 
 class TestUsage:

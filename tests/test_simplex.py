@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from zerohalf import matching
+from zerohalf.matching import WeightedGraph
 from zerohalf.simplex import LpStatus, lp_solve
+
+from reference_simplex import lp_solve as reference_lp_solve
 
 F = Fraction
 
@@ -137,3 +141,111 @@ def _gauss_solve(mat, vec):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
+
+
+def _random_lp(rng: random.Random):
+    """Rows, rhs, objective and flags of a small LP with mixed denominators.
+
+    Negative right-hand sides send rows through phase 1; scaled copies of
+    rows, and equations written as row pairs, leave artificials in the
+    basis at level zero that must be driven out after phase 1, sometimes
+    by a negative pivot.  Missing box rows leave room for unbounded optima,
+    and conflicting rows for infeasible ones.
+    """
+    n = rng.randint(1, 4)
+
+    def entry():
+        if rng.random() < 0.3:
+            return F(rng.randint(-6, 6), rng.choice((2, 3, 4, 6)))
+        return rng.randint(-3, 3)
+
+    rows, rhs = [], []
+    for _ in range(rng.randint(0, 5)):
+        rows.append([entry() for _ in range(n)])
+        rhs.append(entry() + rng.randint(-1, 3))
+    if rows and rng.random() < 0.4:
+        j = rng.randrange(len(rows))
+        factor = rng.choice((1, F(1, 2), F(2, 3), 3))
+        rows.append([factor * v for v in rows[j]])
+        rhs.append(factor * rhs[j])
+    if rows and rng.random() < 0.3:
+        j = rng.randrange(len(rows))
+        rows.append([-v for v in rows[j]])
+        rhs.append(-rhs[j])
+    if rng.random() < 0.7:
+        for i in range(n):
+            up = [0] * n
+            up[i] = 1
+            lo = [0] * n
+            lo[i] = -1
+            rows += [up, lo]
+            rhs += [rng.randint(1, 3), rng.choice((0, 1, F(1, 2)))]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    rows = [tuple(rows[j]) for j in order]
+    rhs = [rhs[j] for j in order]
+    c = [entry() for _ in range(n)]
+    return rows, rhs, c, rng.random() < 0.5, rng.random() < 0.4
+
+
+class TestAgainstReference:
+    """The integer tableau follows the Fraction tableau pivot for pivot."""
+
+    def test_random_lps_give_identical_results(self):
+        rng = random.Random(20261017)
+        seen = set()
+        for trial in range(400):
+            rows, rhs, c, maximize, nonneg = _random_lp(rng)
+            got = lp_solve(rows, rhs, c, maximize=maximize, nonneg=nonneg)
+            ref = reference_lp_solve(rows, rhs, c, maximize=maximize, nonneg=nonneg)
+            assert (got.status, got.value, got.point) == (ref.status, ref.value, ref.point), (
+                f"trial {trial}: {rows} {rhs} {c} max={maximize} nonneg={nonneg}"
+            )
+            seen.add((got.status, nonneg, any(v < 0 for v in rhs)))
+        statuses = {s for s, _, _ in seen}
+        assert statuses == set(LpStatus)
+        assert {(True, True), (True, False), (False, True), (False, False)} <= {
+            (nonneg, neg) for _, nonneg, neg in seen
+        }
+
+    @pytest.mark.parametrize("rows, rhs, upper, c, maximize", [
+        ([[F(3, 7), F(-2, 7), F(-2, 7), F(-1, 7)], [-1, -2, F(-1, 3), F(4, 3)],
+          [F(6, 7), F(-3, 7), F(-2, 7), F(-2, 7)]],
+         [F(-3, 7), F(-2, 3), F(1, 7)], [2, 3, 1, 3], [0, 3, 2, 0], True),
+        ([[0, 1, -1, -4], [-2, 3, -1, F(-3, 2)], [F(-6, 5), F(2, 5), F(-1, 5), F(6, 5)],
+          [F(-1, 3), F(-1, 3), F(-4, 3), F(2, 3)]],
+         [-4, F(-1, 2), 0, F(-5, 3)], [2, 3, 2, 2], [0, 0, 0, 3], False),
+    ])
+    def test_phase_one_weighs_artificials_by_their_row_scale(self, rows, rhs, upper, c,
+                                                             maximize):
+        # Tied optima where a phase-1 cost of -1 on every scaled artificial
+        # (instead of -L/s_j) takes another pivot path to another vertex.
+        rows = rows + [[int(i == k) for i in range(4)] for k in range(4)]
+        got = lp_solve(rows, rhs + upper, c, maximize=maximize, nonneg=True)
+        ref = reference_lp_solve(rows, rhs + upper, c, maximize=maximize, nonneg=True)
+        assert got.status is LpStatus.OPTIMAL
+        assert (got.value, got.point) == (ref.value, ref.point)
+
+    def test_solve_matching_lp_sequence_on_a_triangle_chain(self, monkeypatch):
+        k = 5
+        edges = []
+        for t in range(k):
+            a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
+            edges += [(a, b, 1), (b, c, 1), (a, c, 1)]
+            if t + 1 < k:
+                edges.append((c, c + 1, 1))
+        graph = WeightedGraph(3 * k, tuple(edges))
+        solved = []
+
+        def both(rows, rhs, objective, **kwargs):
+            got = lp_solve(rows, rhs, objective, **kwargs)
+            ref = reference_lp_solve(rows, rhs, objective, **kwargs)
+            assert (got.status, got.value, got.point) == (ref.status, ref.value, ref.point)
+            solved.append(len(rows))
+            return got
+
+        monkeypatch.setattr(matching, "lp_solve", both)
+        res = matching.solve_matching(graph)
+        assert res.weight == 3 * k // 2
+        assert res.counters.lp_solves == len(solved) > 1
+        assert res.counters.cuts_added > 0
