@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 for usage or file-format problems, 2 when an
 input violates a mathematical precondition (infeasible point, method not
-applicable, nonpositive right-hand sides for approx, and so on).  Reports
-go to standard output and are deterministic for fixed inputs and seeds;
-diagnostics go to standard error.
+applicable, nonpositive right-hand sides or a negative objective entry for
+approx, and so on).  Reports go to standard output and are deterministic
+for fixed inputs and seeds; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .closure import ApproxParams, approx_optimize, k_of_epsilon, monotone_presolve
+from .closure import ApproxParams, approx_optimize, monotone_presolve
 from .colsep import primal_separate_col
 from .core import (
+    HALF,
     IlpInstance,
     MethodNotApplicableError,
     Multipliers,
@@ -26,11 +27,11 @@ from .core import (
     SeparationResult,
     ZeroHalfError,
     as_point,
-    box_rows,
     compute_context,
     derive_cut,
     extended_slack,
     is_integral,
+    objective_of,
     parity_profile,
     unfloored_rhs,
     violation,
@@ -39,7 +40,7 @@ from .generate import PROFILES, gen_primal_case
 from .matching import WeightedGraph, solve_matching
 from .oracle import brute_closure_optimize, brute_primal_separate
 from .rowsep import primal_separate_row
-from .simplex import LpStatus, lp_solve
+from .simplex import solve_relaxation
 
 
 class FileFormatError(ZeroHalfError):
@@ -162,9 +163,9 @@ def parse_point(text: str, n: int, source: str = "point") -> Point:
 def parse_graph(text: str, source: str = "graph") -> WeightedGraph:
     t = _Tokens(text, source)
     t.keyword("NODES")
-    k = t.integer("node count")
+    k = t.integer("node count", minimum=0)
     t.keyword("EDGES")
-    m = t.integer("edge count")
+    m = t.integer("edge count", minimum=0)
     edges = []
     for e in range(m):
         u = t.integer(f"edge {e + 1} endpoint")
@@ -274,42 +275,27 @@ def _oracle_separation(ctx) -> SeparationResult:
 def _cmd_approx(ns) -> int:
     inst = parse_instance(_read(ns.instance), ns.instance)
     params = ApproxParams(epsilon=Fraction(ns.epsilon), modulus=ns.modulus)
-    lift = None
-    if ns.presolve_monotone:
-        reduced, report = monotone_presolve(inst)
-        if reduced is None:
-            return _approx_after_total_presolve(inst, params, report)
-        inst, lift = reduced, report.lift
-    res = approx_optimize(inst, None, params)
-    argmax = lift(res.argmax) if lift else res.argmax
-    print(f"K {params.k}")
-    print(f"CUTS {res.cut_count}")
-    print(f"ALPHA {fmt_frac(res.alpha)}")
-    print(f"ARGMAX {_fmt_vec(argmax)}")
-    return 0
-
-
-def _approx_after_total_presolve(inst, params, report) -> int:
-    """Presolve removed every row; only box constraints remain."""
-    if inst.objective is None:
-        raise ZeroHalfError("no objective given and none stored on the instance")
-    if not report.kept_coords:
-        alpha, argmax = Fraction(0), report.lift(())
-    else:
+    objective = objective_of(inst, nonnegative=True)
+    reduced, report = monotone_presolve(inst) if ns.presolve_monotone else (inst, None)
+    if reduced is None:
+        # presolve removed every row: only the box of the kept coordinates is left
         keep = report.kept_coords
-        sub = IlpInstance(
-            A=((0,) * len(keep),),
-            b=(0,),
-            lower_present=tuple([inst.lower_present[i] for i in keep]),
-            upper_present=tuple([inst.upper_present[i] for i in keep]),
+        res = solve_relaxation(
+            (),
+            (),
+            [inst.lower_present[i] for i in keep],
+            [inst.upper_present[i] for i in keep],
+            (),
+            [objective[i] for i in keep],
         )
-        rows, rhs = box_rows(sub)
-        res = lp_solve(rows, rhs, [inst.objective[i] for i in keep])
-        if res.status is LpStatus.UNBOUNDED:
-            raise ZeroHalfError("objective unbounded over the surviving box")
-        alpha, argmax = res.value, report.lift(res.point)
+        alpha, argmax, cut_count = res.value, res.point, 0
+    else:
+        res = approx_optimize(reduced, None, params)
+        alpha, argmax, cut_count = res.alpha, res.argmax, res.cut_count
+    if report is not None:
+        argmax = report.lift(argmax)
     print(f"K {params.k}")
-    print("CUTS 0")
+    print(f"CUTS {cut_count}")
     print(f"ALPHA {fmt_frac(alpha)}")
     print(f"ARGMAX {_fmt_vec(argmax)}")
     return 0
@@ -357,7 +343,7 @@ def _cmd_check(ns) -> int:
     tight = violation(cut, xhat) == 0
     before = unfloored_rhs(inst, mult)
     nontrivial = before.denominator != 1
-    verdict = extended_slack(inst, mult, xhat) == Fraction(1, 2)
+    verdict = extended_slack(inst, mult, xhat) == HALF
     print("VALID yes")
     print(f"CUT {_fmt_vec(cut.coeffs)} <= {fmt_frac(cut.rhs)}")
     print(f"TIGHT {'yes' if tight else 'no'}")

@@ -11,40 +11,37 @@ for nonnegative objectives: a cut left out of the family has multiplier
 weight above k, hence an unrounded right-hand side above 1 + 1/eps, and
 such cuts survive shrinking the optimizer by 1/(1 + eps).  The same
 bound-support argument works for any modulus q, with numerator sum at
-most q*k.
+most q*k.  Both preconditions, b >= 1 and a nonnegative objective, are
+checked.
 
-Bound rows of the instance participate in the linear program as ordinary
-rows but are never combined into cuts here; a bound that should take part
-in cut generation has to be written as an explicit row of A, which the
-b >= 1 precondition then rejects for lower bounds.  The monotone presolve
-removes the offending b = 0 rows for packing-type systems beforehand.
+The family is the oracle's cut list restricted to that weight:
+``oracle.enumerate_cut_rows`` with ``rows_only`` and support bound k, so
+the approximation and the exhaustive closure share one enumerator.  Bound
+rows of the instance participate in the linear program as ordinary rows
+but are never combined into cuts here; a bound that should take part in
+cut generation has to be written as an explicit row of A, which the b >= 1
+precondition then rejects for lower bounds.  The monotone presolve removes
+the offending b = 0 rows for packing-type systems beforehand.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    BudgetExceededError,
     Cut,
     IlpInstance,
-    LpInfeasibleError,
-    LpUnboundedError,
     MethodNotApplicableError,
-    Multipliers,
     Point,
     PresolveError,
     ZeroHalfError,
-    box_rows,
-    derive_cut,
+    objective_of,
 )
-from .simplex import LpStatus, lp_solve
-
-DEFAULT_BUDGET = 1 << 20
+from .oracle import DEFAULT_BUDGET, enumerate_cut_rows
+from .simplex import solve_relaxation
 
 
 def k_of_epsilon(epsilon) -> int:
@@ -133,83 +130,20 @@ def enumerate_bounded_cuts(
     params: ApproxParams,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Cut]:
-    """All cuts from multiplier vectors of weight at most k, deduplicated.
+    """All cuts from row multiplier vectors of weight at most k, deduplicated.
 
-    Only row multipliers participate; integrality of every coefficient is
-    required outright.  Per coefficient vector the smallest right-hand
-    side is kept, with the earliest multiplier vector as provenance.
+    ``oracle.enumerate_cut_rows`` with ``rows_only`` and support bound k,
+    after checking b >= 1: integrality of every coefficient is required
+    outright, and per coefficient vector the smallest right-hand side is
+    kept, with the earliest multiplier vector as provenance.
     """
     if any(v <= 0 for v in instance.b):
         raise MethodNotApplicableError(
             "the approximation needs b >= 1 on every row"
         )
-    q = params.modulus
-    cap = q * params.k  # numerator sum bound from lam . 1 <= k
-    cols = list(zip(*instance.A))
-    seen: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    order: list[tuple[int, ...]] = []
-    spent = 0
-    for p in itertools.product(range(q), repeat=instance.m):
-        spent += 1
-        if spent > budget:
-            raise BudgetExceededError(f"more than {budget} multiplier candidates")
-        weight = sum(p)
-        if weight == 0 or weight > cap:
-            continue
-        support = [j for j, v in enumerate(p) if v]
-        sums = [sum(p[j] * col[j] for j in support) for col in cols]
-        if any(s % q for s in sums):
-            continue
-        coeffs = tuple([s // q for s in sums])
-        rhs = sum(p[j] * instance.b[j] for j in support) // q
-        old = seen.get(coeffs)
-        if old is None:
-            seen[coeffs] = (rhs, p)
-            order.append(coeffs)
-        elif rhs < old[0]:
-            seen[coeffs] = (rhs, p)
-    zero = (Fraction(0),) * instance.n
-    out = []
-    for coeffs in order:
-        rhs, p = seen[coeffs]
-        mult = Multipliers(
-            tuple([Fraction(v, q) for v in p]), zero, zero, modulus=q
-        )
-        cut = derive_cut(instance, mult)
-        if cut.coeffs != coeffs or cut.rhs != rhs:
-            raise ZeroHalfError("enumeration bookkeeping out of sync")
-        out.append(cut)
-    return out
-
-
-@dataclass(frozen=True)
-class Relaxation:
-    """The base system plus the generated cut family."""
-
-    instance: IlpInstance
-    params: ApproxParams
-    cuts: tuple[Cut, ...]
-
-    @property
-    def base_rows(self) -> int:
-        bounds = sum(self.instance.lower_present) + sum(self.instance.upper_present)
-        return self.instance.m + bounds
-
-    @property
-    def cut_rows(self) -> int:
-        return len(self.cuts)
-
-    @property
-    def total_rows(self) -> int:
-        return self.base_rows + self.cut_rows
-
-
-def build_relaxation(
-    instance: IlpInstance,
-    params: ApproxParams,
-    budget: int = DEFAULT_BUDGET,
-) -> Relaxation:
-    return Relaxation(instance, params, tuple(enumerate_bounded_cuts(instance, params, budget)))
+    return enumerate_cut_rows(
+        instance, params.modulus, Fraction(params.k), budget, rows_only=True
+    )
 
 
 @dataclass(frozen=True)
@@ -228,25 +162,13 @@ def approx_optimize(
     """Exact optimum over the bounded-support relaxation.
 
     The returned alpha approximates the closure optimum to factor 1 + eps
-    for nonnegative objectives on systems with b >= 1 (see the module
-    docstring); the point is an optimizer of the relaxation itself.
+    (see the module docstring); the point is an optimizer of the relaxation
+    itself.  A negative objective entry or a right-hand side below 1 raises
+    MethodNotApplicableError.
     """
-    if objective is None:
-        objective = instance.objective
-    if objective is None:
-        raise ZeroHalfError("no objective given and none stored on the instance")
-    relax = build_relaxation(instance, params, budget)
-    rows = [list(r) for r in instance.A]
-    rhs = list(instance.b)
-    brows, brhs = box_rows(instance)
-    rows += brows
-    rhs += brhs
-    for cut in relax.cuts:
-        rows.append(list(cut.coeffs))
-        rhs.append(cut.rhs)
-    res = lp_solve(rows, rhs, list(objective))
-    if res.status is LpStatus.INFEASIBLE:
-        raise LpInfeasibleError("the relaxation is empty")
-    if res.status is LpStatus.UNBOUNDED:
-        raise LpUnboundedError("the relaxation optimum is unbounded")
-    return ApproxResult(res.value, res.point, len(relax.cuts))
+    objective = objective_of(instance, objective, nonnegative=True)
+    cuts = enumerate_bounded_cuts(instance, params, budget)
+    res = solve_relaxation(
+        instance.A, instance.b, instance.lower_present, instance.upper_present, cuts, objective
+    )
+    return ApproxResult(res.value, res.point, len(cuts))

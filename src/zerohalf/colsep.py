@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    HALF,
     Cut,
     InternalConsistencyError,
     MethodNotApplicableError,
@@ -48,8 +49,6 @@ from .core import (
     violation,
 )
 from .graphs import CapacitatedGraph, FlowEdge, min_cut
-
-HALF = Fraction(1, 2)
 
 _SINK = -1  # sentinel union-find element; real rows are >= 0
 

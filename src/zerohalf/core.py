@@ -21,11 +21,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rational = Fraction
+
+HALF = Fraction(1, 2)
 
 #: A point is simply a tuple of rationals; helpers below build and check them.
 Point = tuple[Fraction, ...]
@@ -362,7 +364,7 @@ def is_tight_nontrivial(ctx: SeparationContext, mult: Multipliers) -> bool:
     unfloored right-hand side is not integral).
     """
     derive_cut(ctx.instance, mult)  # raises if the multipliers are unusable
-    return extended_slack(ctx.instance, mult, ctx.xhat) == Fraction(1, 2)
+    return extended_slack(ctx.instance, mult, ctx.xhat) == HALF
 
 
 def violation(cut: Cut, xstar: Sequence[Fraction]) -> Fraction:
@@ -400,27 +402,48 @@ def parity_profile(instance: IlpInstance) -> ParityProfile:
     return ParityProfile(tuple(cols), tuple(rows))
 
 
-def box_rows(instance: IlpInstance) -> tuple[list[list[int]], list[int]]:
-    """The instance's bound rows as explicit inequality rows.
+def box_rows(
+    lower_present: Sequence[bool], upper_present: Sequence[bool]
+) -> tuple[list[list[int]], list[int]]:
+    """The present bound rows as explicit inequality rows.
 
     Lower bounds become ``-x_i <= 0`` and upper bounds ``x_i <= 1``, in
     coordinate order with the lower row first.  Used wherever the bound
     rows have to enter a linear program alongside A.
     """
+    n = len(lower_present)
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for i in range(instance.n):
-        if instance.lower_present[i]:
-            row = [0] * instance.n
+    for i in range(n):
+        if lower_present[i]:
+            row = [0] * n
             row[i] = -1
             rows.append(row)
             rhs.append(0)
-        if instance.upper_present[i]:
-            row = [0] * instance.n
+        if upper_present[i]:
+            row = [0] * n
             row[i] = 1
             rows.append(row)
             rhs.append(1)
     return rows, rhs
+
+
+def objective_of(
+    instance: IlpInstance, objective: Sequence | None = None, nonnegative: bool = False
+) -> tuple:
+    """The given objective, else the one stored on the instance.
+
+    ``nonnegative`` demands what the (1 + eps) sandwich of the closure
+    approximation needs and raises MethodNotApplicableError on a negative
+    entry.
+    """
+    if objective is None:
+        objective = instance.objective
+    if objective is None:
+        raise ZeroHalfError("no objective given and none stored on the instance")
+    if nonnegative and any(c < 0 for c in objective):
+        raise MethodNotApplicableError("the approximation needs a nonnegative objective")
+    return tuple(objective)
 
 
 @dataclass(frozen=True)

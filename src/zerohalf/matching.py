@@ -26,12 +26,11 @@ from .core import (
     InternalConsistencyError,
     Point,
     ZeroHalfError,
-    box_rows,
     compute_context,
     is_integral,
 )
 from .colsep import primal_separate_col
-from .simplex import LpStatus, lp_solve
+from .simplex import solve_relaxation
 
 
 @dataclass(frozen=True)
@@ -218,22 +217,13 @@ def solve_matching(
         return MatchingResult((), 0, counters, ())
     inst = incidence_instance(graph, weights)
     n = inst.n
-    base_rows = [list(r) for r in inst.A]
-    base_rhs = list(inst.b)
-    brows, brhs = box_rows(inst)
-    base_rows += brows
-    base_rhs += brhs
     xhat: tuple[Fraction, ...] = (Fraction(0),) * n
     cuts: list[Cut] = []
     while True:
-        rows = base_rows + [list(c.coeffs) for c in cuts]
-        rhs = base_rhs + [c.rhs for c in cuts]
-        res = lp_solve(rows, rhs, list(weights), nonneg=True)
+        res = solve_relaxation(
+            inst.A, inst.b, inst.lower_present, inst.upper_present, cuts, weights, nonneg=True
+        )
         counters.lp_solves += 1
-        if res.status is not LpStatus.OPTIMAL:
-            raise InternalConsistencyError(
-                f"degree relaxation reported {res.status.name}"
-            )
         current = sum(w * x for w, x in zip(weights, xhat))
         if res.value == current:
             return _finish(graph, weights, xhat, counters, cuts)

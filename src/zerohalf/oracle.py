@@ -10,6 +10,10 @@ numerators, and cut data stays in integers until a winner is materialized.
 
 Candidate counts are capped by a hard budget (default 2**20); blowing the
 budget raises BudgetExceededError rather than silently truncating.
+
+``enumerate_cut_rows`` is also the production enumerator of the closure
+approximation: ``closure.enumerate_bounded_cuts`` is this function with
+``rows_only`` and the support bound k.
 """
 
 from __future__ import annotations
@@ -23,17 +27,15 @@ from .core import (
     BudgetExceededError,
     Cut,
     IlpInstance,
-    LpInfeasibleError,
-    LpUnboundedError,
     Multipliers,
     Point,
     SeparationContext,
     ZeroHalfError,
     as_point,
-    box_rows,
     derive_cut,
+    objective_of,
 )
-from .simplex import LpStatus, lp_solve
+from .simplex import solve_relaxation
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -214,11 +216,14 @@ def enumerate_cut_rows(
 
     Among multiplier vectors deriving the same inequality the first one in
     enumeration order is kept as provenance.  rows_only restricts to cuts
-    taken from the rows of A alone, without bound-row rounding.
+    taken from the rows of A alone, without bound-row rounding.  The zero
+    row multiplier is skipped: it derives nothing but ``0 <= 0``.
     """
     seen: dict[tuple[int, ...], tuple[int, tuple]] = {}
     order: list[tuple[int, ...]] = []
     for nums in _iter_raw_multipliers(instance, modulus, support_bound, budget, rows_only):
+        if not any(nums[0]):
+            continue
         coeffs, rhs = _cut_nums(instance, nums, modulus)
         old = seen.get(coeffs)
         if old is None:
@@ -251,23 +256,11 @@ def brute_closure_optimize(
     it to the system and solves one LP.  Raises LpInfeasibleError or
     LpUnboundedError when the relaxation has no optimum.
     """
-    if objective is None:
-        objective = instance.objective
-    if objective is None:
-        raise ZeroHalfError("no objective given and none stored on the instance")
-    rows = [list(r) for r in instance.A]
-    rhs = list(instance.b)
-    brows, brhs = box_rows(instance)
-    rows += brows
-    rhs += brhs
-    for cut in enumerate_cut_rows(instance, modulus, None, budget, rows_only=True):
-        rows.append(list(cut.coeffs))
-        rhs.append(cut.rhs)
-    res = lp_solve(rows, rhs, list(objective))
-    if res.status is LpStatus.INFEASIBLE:
-        raise LpInfeasibleError("closure is empty")
-    if res.status is LpStatus.UNBOUNDED:
-        raise LpUnboundedError("closure optimum is unbounded")
+    objective = objective_of(instance, objective)
+    cuts = enumerate_cut_rows(instance, modulus, None, budget, rows_only=True)
+    res = solve_relaxation(
+        instance.A, instance.b, instance.lower_present, instance.upper_present, cuts, objective
+    )
     return res.value, res.point
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    HALF,
     Cut,
     InternalConsistencyError,
     MethodNotApplicableError,
@@ -47,8 +48,6 @@ from .core import (
     violation,
 )
 from .graphs import LengthEdge, LengthGraph, shortest_path
-
-HALF = Fraction(1, 2)
 
 _TERM = -1  # terminal node; coordinates are >= 0
 

@@ -33,7 +33,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .core import InternalConsistencyError
+from .core import (
+    Cut,
+    InternalConsistencyError,
+    LpInfeasibleError,
+    LpUnboundedError,
+    box_rows,
+)
 
 
 class LpStatus(Enum):
@@ -212,6 +218,34 @@ def lp_solve(
     vprime = Fraction(-obj[-1], den * cscale)
     point = tuple([Fraction(v, den) for v in xnum])
     return LpResult(LpStatus.OPTIMAL, vprime if maximize else -vprime, point)
+
+
+def solve_relaxation(
+    A: Sequence[Sequence[int]],
+    b: Sequence[int],
+    lower_present: Sequence[bool],
+    upper_present: Sequence[bool],
+    cuts: Sequence[Cut],
+    objective: Sequence,
+    *,
+    nonneg: bool = False,
+) -> LpResult:
+    """Maximize ``objective . x`` over ``A x <= b``, the present bound rows and the cuts.
+
+    The rows are stacked in that order (the bound rows as ``core.box_rows``
+    writes them), which fixes Bland's pivot path.  Returns the optimal
+    result; an empty or unbounded relaxation raises LpInfeasibleError or
+    LpUnboundedError.
+    """
+    brows, brhs = box_rows(lower_present, upper_present)
+    rows = [*A, *brows, *[c.coeffs for c in cuts]]
+    rhs = [*b, *brhs, *[c.rhs for c in cuts]]
+    res = lp_solve(rows, rhs, objective, nonneg=nonneg)
+    if res.status is LpStatus.INFEASIBLE:
+        raise LpInfeasibleError("the relaxation is empty")
+    if res.status is LpStatus.UNBOUNDED:
+        raise LpUnboundedError("the relaxation optimum is unbounded")
+    return res
 
 
 def _certify(a, cprime, nonneg, obj, struct, den, xnum):

@@ -113,6 +113,18 @@ class TestFormats:
             assert run_command(["oracle-opt", "--instance", str(path)]) == 1
             assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [("NODES 2\nEDGES -3\n", "line 2 column 7"), ("NODES -1\nEDGES 0\n", "line 1 column 7")],
+    )
+    def test_negative_graph_counts_are_format_errors(self, text, where, tmp_path, capsys):
+        with pytest.raises(FileFormatError, match=where):
+            parse_graph(text)
+        path = tmp_path / "neg.graph"
+        path.write_text(text)
+        assert run_command(["match", "--graph", str(path)]) == 1
+        assert where in capsys.readouterr().err
+
 
 class TestSeparate:
     def test_blossom_report(self, k3_paths, capsys):
@@ -262,6 +274,19 @@ class TestApprox:
         path = tmp_path / "noobj.inst"
         path.write_text(text)
         assert run_command(["approx", "--instance", str(path), "--epsilon", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "b, presolve",
+        # with b = 0 and presolve, x1 is fixed and only the box of x2 is left
+        [("1", []), ("0", ["--presolve-monotone"])],
+    )
+    def test_negative_objective_exits_2(self, tmp_path, capsys, b, presolve):
+        text = f"ROWS 1\nCOLS 2\nA\n1 0\nB\n{b}\nLOWER\n1 1\nUPPER\n1 1\nOBJ\n0 -1\nEND\n"
+        path = tmp_path / "negobj.inst"
+        path.write_text(text)
+        argv = ["approx", "--instance", str(path), "--epsilon", "1"] + presolve
+        assert run_command(argv) == 2
+        assert "nonnegative objective" in capsys.readouterr().err
 
 
 class TestMatch:

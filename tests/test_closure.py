@@ -8,7 +8,6 @@ import pytest
 from zerohalf.closure import (
     ApproxParams,
     approx_optimize,
-    build_relaxation,
     enumerate_bounded_cuts,
     k_of_epsilon,
     monotone_presolve,
@@ -25,6 +24,7 @@ from zerohalf.oracle import brute_closure_optimize, enumerate_cut_rows
 from zerohalf.simplex import LpStatus, lp_solve
 
 from conftest import triangle_instance
+from reference_enumerator import enumerate_bounded_cuts as reference_bounded_cuts
 
 F = Fraction
 H = Fraction(1, 2)
@@ -178,7 +178,7 @@ def test_all_even_system_gains_nothing():
         objective=(1, 1),
     )
     res = approx_optimize(inst, None, ApproxParams(epsilon=F(1, 2)))
-    rows, rhs = box_rows(inst)
+    rows, rhs = box_rows(inst.lower_present, inst.upper_present)
     plain = lp_solve(
         [list(r) for r in inst.A] + rows, list(inst.b) + rhs, [1, 1]
     )
@@ -220,6 +220,40 @@ def test_family_size_obeys_the_support_bound():
             assert len(cuts) <= bound
 
 
+def _cut_rows(cuts):
+    return [(c.coeffs, c.rhs, c.provenance) for c in cuts]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 5)])
+def test_family_matches_reference_enumerator(q, eps):
+    rng = random.Random(f"family/{q}/{eps}")
+    params = ApproxParams(epsilon=eps, modulus=q)
+    for _ in range(20):
+        m = rng.randint(1, 6 if q == 2 else 5)
+        n = rng.randint(1, 4)
+        inst = IlpInstance(
+            A=tuple(tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(m)),
+            b=tuple(rng.randint(1, 4) for _ in range(m)),
+            lower_present=tuple(rng.random() < 0.7 for _ in range(n)),
+            upper_present=tuple(rng.random() < 0.7 for _ in range(n)),
+        )
+        assert _cut_rows(enumerate_bounded_cuts(inst, params)) == _cut_rows(
+            reference_bounded_cuts(inst, params)
+        )
+
+
+def test_nonzero_multipliers_may_cancel_every_coefficient():
+    # lam = (1/2, 1/2) cancels x entirely and still rounds b down to 0 <= 1;
+    # only the zero multiplier vector is left out of the family.
+    inst = IlpInstance(A=((1,), (-1,)), b=(1, 1), lower_present=(True,), upper_present=(True,))
+    params = ApproxParams(epsilon=1)
+    got = enumerate_bounded_cuts(inst, params)
+    assert [(c.coeffs, c.rhs) for c in got] == [((0,), 1)]
+    assert got[0].provenance.lam == (H, H)
+    assert _cut_rows(got) == _cut_rows(reference_bounded_cuts(inst, params))
+
+
 def _choose(m, s):
     out = 1
     for i in range(s):
@@ -248,6 +282,16 @@ def test_missing_objective_is_an_error():
         approx_optimize(triangle_instance(), None, ApproxParams(epsilon=1))
 
 
+def test_negative_objective_is_rejected():
+    with pytest.raises(MethodNotApplicableError, match="nonnegative objective"):
+        approx_optimize(triangle_instance(), (1, -1, 0), ApproxParams(epsilon=1))
+    with pytest.raises(MethodNotApplicableError, match="nonnegative objective"):
+        approx_optimize(triangle_instance(objective=(0, 0, -2)), None, ApproxParams(epsilon=1))
+    # the exhaustive closure has no sandwich to protect and takes any sign
+    value, _ = brute_closure_optimize(triangle_instance(), objective=(1, -1, 0))
+    assert value == 1
+
+
 def test_unbounded_direction_is_reported():
     inst = IlpInstance(
         A=((1, 0),),
@@ -258,13 +302,6 @@ def test_unbounded_direction_is_reported():
     )
     with pytest.raises(LpUnboundedError):
         approx_optimize(inst, None, ApproxParams(epsilon=1))
-
-
-def test_relaxation_row_counts():
-    relax = build_relaxation(triangle_instance(), ApproxParams(epsilon=1))
-    assert relax.base_rows == 3 + 6
-    assert relax.cut_rows == len(relax.cuts)
-    assert relax.total_rows == relax.base_rows + relax.cut_rows
 
 
 # ------------------------------------------------------------- the sandwich

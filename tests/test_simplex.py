@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zerohalf import matching
+from zerohalf import matching, simplex
 from zerohalf.matching import WeightedGraph
 from zerohalf.simplex import LpStatus, lp_solve
 
@@ -244,7 +244,8 @@ class TestAgainstReference:
             solved.append(len(rows))
             return got
 
-        monkeypatch.setattr(matching, "lp_solve", both)
+        # solve_matching reaches lp_solve through simplex.solve_relaxation
+        monkeypatch.setattr(simplex, "lp_solve", both)
         res = matching.solve_matching(graph)
         assert res.weight == 3 * k // 2
         assert res.counters.lp_solves == len(solved) > 1
