@@ -325,6 +325,13 @@ def _cmd_oracle_opt(ns) -> int:
 def _cmd_check(ns) -> int:
     inst = parse_instance(_read(ns.instance), ns.instance)
     xhat = parse_point(_read(ns.xhat), inst.n, ns.xhat)
+    for flag, values, count, per in (
+        ("--lambda", ns.lam, inst.m, "row"),
+        ("--mu-down", ns.mu_down, inst.n, "column"),
+        ("--mu-up", ns.mu_up, inst.n, "column"),
+    ):
+        if values is not None and len(values) != count:
+            raise _UsageError(f"{flag} has {len(values)} entries, expected {count} (one per {per})")
     if not is_integral(xhat):
         raise ZeroHalfError(f"xhat {tuple(map(fmt_frac, xhat))} is not integral")
     bad = inst.feasibility_failure(xhat)
@@ -340,15 +347,13 @@ def _cmd_check(ns) -> int:
         print("VALID no")
         print(f"REASON {exc}")
         return 0
-    tight = violation(cut, xhat) == 0
     before = unfloored_rhs(inst, mult)
-    nontrivial = before.denominator != 1
     verdict = extended_slack(inst, mult, xhat) == HALF
     print("VALID yes")
     print(f"CUT {_fmt_vec(cut.coeffs)} <= {fmt_frac(cut.rhs)}")
-    print(f"TIGHT {'yes' if tight else 'no'}")
+    print(f"TIGHT {'yes' if violation(cut, xhat) == 0 else 'no'}")
     print(f"UNFLOORED_RHS {fmt_frac(before)}")
-    print(f"NONTRIVIAL {'yes' if nontrivial else 'no'}")
+    print(f"NONTRIVIAL {'yes' if before.denominator != 1 else 'no'}")
     print(f"VERDICT {'tight-nontrivial' if verdict else 'not-tight-nontrivial'}")
     return 0
 
@@ -439,6 +444,9 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

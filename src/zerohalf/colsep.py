@@ -34,19 +34,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    HALF,
     Cut,
     InternalConsistencyError,
     MethodNotApplicableError,
     Multipliers,
     SeparationContext,
     SeparationResult,
-    derive_cut,
-    is_tight_nontrivial,
+    accept_cut,
     parity_profile,
     slack_bound_cost,
     tight_bound_cost,
-    violation,
 )
 from .graphs import CapacitatedGraph, FlowEdge, min_cut
 
@@ -205,35 +202,23 @@ def extract_multipliers(
     rows = sorted(
         r for node in source_side if node in info.members for r in info.members[node]
     )
-    lam = [Fraction(0)] * inst.m
-    for r in rows:
-        lam[r] = HALF
-    down = [Fraction(0)] * inst.n
-    up = [Fraction(0)] * inst.n
-    cand = info.candidate
+    down, up = [], []
     for i in range(inst.n):
         odd = sum(inst.A[r][i] for r in rows) % 2
-        if i == cand.coord:
+        if i == info.candidate.coord:
             if not odd:
                 raise InternalConsistencyError(
                     "slack bound coordinate lost its odd row"
                 )
             # the bound row with slack 1 at xhat, opposite the tight side
-            if ctx.xhat[i] == 0:
-                up[i] = HALF
-            else:
-                down[i] = HALF
-            continue
-        if odd:
+            (up if ctx.xhat[i] == 0 else down).append(i)
+        elif odd:
             if tight_bound_cost(ctx, i) is None:
                 raise InternalConsistencyError(
                     f"odd coordinate {i} has no bound row to repair it"
                 )
-            if ctx.xhat[i] == 0:
-                down[i] = HALF
-            else:
-                up[i] = HALF
-    return Multipliers(tuple(lam), tuple(down), tuple(up))
+            (down if ctx.xhat[i] == 0 else up).append(i)
+    return Multipliers.from_support(inst.m, inst.n, rows, down, up)
 
 
 def primal_separate_col(ctx: SeparationContext) -> SeparationResult:
@@ -256,17 +241,10 @@ def primal_separate_col(ctx: SeparationContext) -> SeparationResult:
         res = min_cut(info.graph, info.source, info.sink)
         calls += 1
         total = info.fixed_cost + res.value
-        if total >= 1:
-            continue
-        if best is not None and total >= best[0]:
+        if total >= (best[0] if best else 1):
             continue
         mult = extract_multipliers(ctx, info, res.source_side)
-        cut = derive_cut(ctx.instance, mult)
-        if not is_tight_nontrivial(ctx, mult):
-            raise InternalConsistencyError("accepted cut is not tight at xhat")
-        if violation(cut, ctx.xstar) != (1 - total) / 2:
-            raise InternalConsistencyError("cut value does not match violation")
-        best = (total, cut)
+        best = (total, accept_cut(ctx, mult, total))
     limit = ctx.instance.m + 2 * ctx.instance.n
     if calls > limit:
         raise InternalConsistencyError("minimum-cut budget exceeded")

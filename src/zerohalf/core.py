@@ -21,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -140,31 +141,49 @@ class IlpInstance:
     def n(self) -> int:
         return len(self.A[0])
 
-    def row_value(self, j: int, x: Sequence[Fraction]) -> Fraction:
-        return sum((a * xv for a, xv in zip(self.A[j], x)), Fraction(0))
+    def scaled_slacks(self, x: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
+        """All row slacks ``b - Ax`` in one integer pass: ``(slacks, x_nums, denom)``.
+
+        Both vectors are numerators over ``denom``, the lcm of the denominators of x.
+        """
+        xnum, denom = scale_point(x)
+        ax = [sum([a * v for a, v in zip(row, xnum)]) for row in self.A]
+        return [bv * denom - r for bv, r in zip(self.b, ax)], xnum, denom
 
     def slacks(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple([self.b[j] - self.row_value(j, x) for j in range(self.m)])
+        slacks, _, denom = self.scaled_slacks(x)
+        return tuple([Fraction(s, denom) for s in slacks])
 
     def feasibility_failure(self, x: Sequence[Fraction]) -> str | None:
         """Return a description of the first violated constraint, or None."""
         if len(x) != self.n:
             raise DimensionMismatchError(f"point has {len(x)} coordinates, instance has {self.n}")
-        for j in range(self.m):
-            if self.row_value(j, x) > self.b[j]:
-                return f"row {j} violated"
-        for i in range(self.n):
-            if self.lower_present[i] and x[i] < 0:
-                return f"lower bound at coordinate {i} violated"
-            if self.upper_present[i] and x[i] > 1:
-                return f"upper bound at coordinate {i} violated"
-        return None
+        return _first_failure(self, *self.scaled_slacks(x))
+
+
+def scale_point(point: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A point as integer numerators over the lcm of its denominators."""
+    denom = math.lcm(*[v.denominator for v in point])
+    return [v.numerator * (denom // v.denominator) for v in point], denom
+
+
+def _first_failure(instance: IlpInstance, slacks: list, xnum: list, denom: int) -> str | None:
+    for j, s in enumerate(slacks):
+        if s < 0:
+            return f"row {j} violated"
+    for i, v in enumerate(xnum):
+        if instance.lower_present[i] and v < 0:
+            return f"lower bound at coordinate {i} violated"
+        if instance.upper_present[i] and v > denom:
+            return f"upper bound at coordinate {i} violated"
+    return None
 
 
 def _grid_check(values: tuple[Fraction, ...], q: int, what: str) -> None:
     for v in values:
         if v < 0 or v >= 1 or (v * q).denominator != 1:
-            raise MultiplierError(f"{what} entry {v} not in {{0, 1/{q}, ..., {q - 1}/{q}}}")
+            grid = ", ".join(["0"] + [f"{k}/{q}" for k in range(1, q)])
+            raise MultiplierError(f"{what} entry {v} not in {{{grid}}}")
 
 
 @dataclass(frozen=True)
@@ -220,9 +239,6 @@ class Multipliers:
             up[i] = w
         return cls(tuple(lam), tuple(down), tuple(up), modulus)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple([j for j, v in enumerate(self.lam) if v])
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -266,14 +282,16 @@ def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> S
         )
     if not is_integral(xhat):
         raise NonIntegralPointError(f"xhat {xhat} is not integral")
-    bad = instance.feasibility_failure(xhat)
+    hat = instance.scaled_slacks(xhat)
+    bad = _first_failure(instance, *hat)
     if bad is not None:
         raise InfeasiblePointError("xhat", bad)
-    bad = instance.feasibility_failure(xstar)
+    star = instance.scaled_slacks(xstar)
+    bad = _first_failure(instance, *star)
     if bad is not None:
         raise InfeasiblePointError("xstar", bad)
-    slack_hat = tuple([int(s) for s in instance.slacks(xhat)])
-    slack_star = instance.slacks(xstar)
+    slack_hat = tuple(hat[0])  # xhat is integral, so its denominator is 1
+    slack_star = tuple([Fraction(s, star[2]) for s in star[0]])
     ones = frozenset(j for j, s in enumerate(slack_hat) if s == 1)
     tight = frozenset(j for j, s in enumerate(slack_hat) if s == 0)
     return SeparationContext(instance, xhat, xstar, slack_hat, slack_star, ones, tight)
@@ -291,10 +309,41 @@ def _check_bound_usage(instance: IlpInstance, mult: Multipliers) -> None:
             raise MultiplierError(f"mu_up[{i}] used but the upper bound is absent")
 
 
+def _numerators(values: Sequence[Fraction], q: int) -> list[int]:
+    """Grid entries k/q as their numerators k."""
+    return [v.numerator * (q // v.denominator) for v in values]
+
+
+def _rhs_num(instance: IlpInstance, lam: Sequence[int], up: Sequence[int]) -> int:
+    return sum([p * bv for p, bv in zip(lam, instance.b) if p]) + sum(up)
+
+
+def cut_numerators(instance: IlpInstance, lam, down, up, q: int) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients and floored rhs of the cut with multipliers ``lam/q, down/q, up/q``.
+
+    The three vectors are integer numerators, and only the rows in the support
+    of ``lam`` are read.  Raises NonIntegralCutError at the first coordinate
+    where q does not divide ``lam.A_i - down[i] + up[i]``.
+    """
+    acc = [0] * instance.n
+    for p, row in zip(lam, instance.A):
+        if p:
+            acc = [c + p * a for c, a in zip(acc, row)]
+    coeffs = []
+    for i, (c, d, u) in enumerate(zip(acc, down, up)):
+        coeff, rest = divmod(c - d + u, q)
+        if rest:
+            raise NonIntegralCutError(
+                f"coefficient {Fraction(c - d + u, q)} at coordinate {i} is not integral"
+            )
+        coeffs.append(coeff)
+    return tuple(coeffs), _rhs_num(instance, lam, up) // q
+
+
 def unfloored_rhs(instance: IlpInstance, mult: Multipliers) -> Fraction:
     """Weighted right-hand side before rounding: lam.b + mu_up.1."""
-    total = sum((l * bv for l, bv in zip(mult.lam, instance.b)), Fraction(0))
-    return total + sum(mult.mu_up, Fraction(0))
+    q = mult.modulus
+    return Fraction(_rhs_num(instance, _numerators(mult.lam, q), _numerators(mult.mu_up, q)), q)
 
 
 def derive_cut(instance: IlpInstance, mult: Multipliers) -> Cut:
@@ -304,25 +353,31 @@ def derive_cut(instance: IlpInstance, mult: Multipliers) -> Cut:
     out integral, otherwise NonIntegralCutError is raised.
     """
     _check_bound_usage(instance, mult)
-    coeffs = []
-    for i in range(instance.n):
-        c = sum((mult.lam[j] * instance.A[j][i] for j in range(instance.m)), Fraction(0))
-        c = c - mult.mu_down[i] + mult.mu_up[i]
-        if c.denominator != 1:
-            raise NonIntegralCutError(f"coefficient {c} at coordinate {i} is not integral")
-        coeffs.append(int(c))
-    rhs_exact = unfloored_rhs(instance, mult)
-    rhs = rhs_exact.numerator // rhs_exact.denominator  # floor
-    return Cut(tuple(coeffs), rhs, mult)
+    q = mult.modulus
+    nums = [_numerators(v, q) for v in (mult.lam, mult.mu_down, mult.mu_up)]
+    return Cut(*cut_numerators(instance, *nums, q), mult)
+
+
+def _slack_num(mult: Multipliers, slacks: Sequence[int], xnum: Sequence[int], denom: int) -> int:
+    """Extended slack of mult times q * denom, from the integer slacks of a point."""
+    q = mult.modulus
+    return (
+        sum([p * s for p, s in zip(_numerators(mult.lam, q), slacks) if p])
+        + sum([d * v for d, v in zip(_numerators(mult.mu_down, q), xnum) if d])
+        + sum([u * (denom - v) for u, v in zip(_numerators(mult.mu_up, q), xnum) if u])
+    )
 
 
 def extended_slack(instance: IlpInstance, mult: Multipliers, point: Sequence[Fraction]) -> Fraction:
     """Weighted slack of all selected rows (bound rows included) at a point."""
-    s = instance.slacks(point)
-    total = sum((l * sv for l, sv in zip(mult.lam, s)), Fraction(0))
-    total += sum((d * xv for d, xv in zip(mult.mu_down, point)), Fraction(0))
-    total += sum((u * (1 - xv) for u, xv in zip(mult.mu_up, point)), Fraction(0))
-    return total
+    slacks, xnum, denom = instance.scaled_slacks(point)
+    return Fraction(_slack_num(mult, slacks, xnum, denom), mult.modulus * denom)
+
+
+def _tight_nontrivial(ctx: SeparationContext, mult: Multipliers) -> bool:
+    """Extended slack at xhat is exactly 1/2, read from ctx.slack_hat."""
+    xhat = [v.numerator for v in ctx.xhat]
+    return 2 * _slack_num(mult, ctx.slack_hat, xhat, 1) == mult.modulus
 
 
 def tight_bound_cost(ctx: SeparationContext, i: int) -> Fraction | None:
@@ -364,7 +419,22 @@ def is_tight_nontrivial(ctx: SeparationContext, mult: Multipliers) -> bool:
     unfloored right-hand side is not integral).
     """
     derive_cut(ctx.instance, mult)  # raises if the multipliers are unusable
-    return extended_slack(ctx.instance, mult, ctx.xhat) == HALF
+    return _tight_nontrivial(ctx, mult)
+
+
+def accept_cut(ctx: SeparationContext, mult: Multipliers, total: Fraction) -> Cut:
+    """The cut of a separator's accepted candidate, certified.
+
+    ``total`` is the candidate's doubled extended slack at xstar.  The cut
+    must have doubled slack exactly 1 at xhat and violation ``(1 - total) / 2``
+    at xstar; anything else is a bug (InternalConsistencyError).
+    """
+    cut = derive_cut(ctx.instance, mult)
+    if not _tight_nontrivial(ctx, mult):
+        raise InternalConsistencyError("accepted cut is not tight at xhat")
+    if violation(cut, ctx.xstar) != (1 - total) / 2:
+        raise InternalConsistencyError("candidate cost does not match the violation")
+    return cut
 
 
 def violation(cut: Cut, xstar: Sequence[Fraction]) -> Fraction:

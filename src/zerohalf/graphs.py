@@ -101,10 +101,10 @@ def min_cut(graph: CapacitatedGraph, s: Hashable, t: Hashable) -> MinCutResult:
         ui, vi = index[e.u], index[e.v]
         adjacency[ui].append(len(arc_to))
         arc_to.append(vi)
-        residual.append(Fraction(e.capacity))
+        residual.append(e.capacity)
         adjacency[vi].append(len(arc_to))
         arc_to.append(ui)
-        residual.append(Fraction(e.capacity))
+        residual.append(e.capacity)
 
     si, ti = index[s], index[t]
     flow = Fraction(0)

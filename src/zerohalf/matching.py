@@ -68,10 +68,6 @@ class MatchingCounters:
     mincut_calls: list[int] = field(default_factory=list)
 
     @property
-    def separation_rounds(self) -> int:
-        return len(self.mincut_calls)
-
-    @property
     def max_calls_per_separation(self) -> int:
         return max(self.mincut_calls, default=0)
 

@@ -6,7 +6,8 @@ be obviously correct and completely independent of the graph constructions,
 so the fast separators can be tested against these functions on small
 instances.  Enumeration cost is kept tolerable with plain integer
 arithmetic: a multiplier vector with modulus q is handled as its vector of
-numerators, and cut data stays in integers until a winner is materialized.
+numerators, turned into cut data by ``core.cut_numerators`` (the kernel
+under ``derive_cut``), and materialized as a ``Cut`` only when returned.
 
 Candidate counts are capped by a hard budget (default 2**20); blowing the
 budget raises BudgetExceededError rather than silently truncating.
@@ -19,7 +20,6 @@ approximation: ``closure.enumerate_bounded_cuts`` is this function with
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -32,8 +32,9 @@ from .core import (
     SeparationContext,
     ZeroHalfError,
     as_point,
-    derive_cut,
+    cut_numerators,
     objective_of,
+    scale_point,
 )
 from .simplex import solve_relaxation
 
@@ -93,20 +94,11 @@ def _iter_raw_multipliers(
             spent += 1
             if spent > budget:
                 raise BudgetExceededError(f"more than {budget} multiplier candidates")
-            down = tuple([c[0] for c in combo])
-            up = tuple([c[1] for c in combo])
-            yield lam, down, up
+            yield lam, tuple([c[0] for c in combo]), tuple([c[1] for c in combo])
 
 
-def _materialize(nums, modulus: int) -> Multipliers:
-    lam, down, up = nums
-    q = modulus
-    return Multipliers(
-        tuple([Fraction(p, q) for p in lam]),
-        tuple([Fraction(d, q) for d in down]),
-        tuple([Fraction(u, q) for u in up]),
-        modulus=q,
-    )
+def _materialize(nums, q: int) -> Multipliers:
+    return Multipliers(*[tuple([Fraction(p, q) for p in v]) for v in nums], modulus=q)
 
 
 def enumerate_valid_multipliers(
@@ -120,26 +112,24 @@ def enumerate_valid_multipliers(
         yield _materialize(nums, modulus)
 
 
-def _cut_nums(instance: IlpInstance, nums, q: int) -> tuple[tuple[int, ...], int]:
-    """Integer coefficients and floored right-hand side for numerators."""
-    lam, down, up = nums
-    coeffs = []
-    for i in range(instance.n):
-        total = sum(lam[j] * instance.A[j][i] for j in range(instance.m) if lam[j])
-        coeffs.append((total - down[i] + up[i]) // q)
-    rhs_num = sum(lam[j] * instance.b[j] for j in range(instance.m) if lam[j]) + sum(up)
-    return tuple(coeffs), rhs_num // q
+def _most_violated(instance: IlpInstance, candidates, xstar: Point, modulus: int) -> Cut | None:
+    """Most violated cut at xstar among numerator triplets, if any.
 
-
-def _point_numerators(point: Point) -> tuple[list[int], int]:
-    denom = math.lcm(*(v.denominator for v in point)) if point else 1
-    return [int(v * denom) for v in point], denom
-
-
-def _tie_key(nums):
-    lam, down, up = nums
-    support = tuple([j for j, p in enumerate(lam) if p])
-    return (support, lam, down, up)
+    Ties on the violation are broken by lexicographically smallest lambda
+    support, then by the numerator vectors themselves.
+    """
+    xnum, denom = scale_point(xstar)
+    best = None  # ((neg violation, tie key), nums, coeffs, rhs)
+    for nums in candidates:
+        coeffs, rhs = cut_numerators(instance, *nums, modulus)
+        viol_num = sum(c * xv for c, xv in zip(coeffs, xnum)) - rhs * denom
+        if viol_num <= 0:
+            continue
+        lam, down, up = nums
+        key = (-viol_num, (tuple([j for j, p in enumerate(lam) if p]), lam, down, up))
+        if best is None or key < best[0]:
+            best = (key, nums, coeffs, rhs)
+    return None if best is None else Cut(best[2], best[3], _materialize(best[1], modulus))
 
 
 def brute_standard_separate(
@@ -148,27 +138,13 @@ def brute_standard_separate(
     modulus: int = 2,
     budget: int = DEFAULT_BUDGET,
 ) -> Cut | None:
-    """Most violated cut at xstar over the full enumeration, if any.
-
-    Ties on the violation are broken by lexicographically smallest lambda
-    support, then by the numerator vectors themselves.
-    """
+    """Most violated cut at xstar over the full enumeration, if any."""
     xstar = as_point(xstar)
     if len(xstar) != instance.n:
         raise ZeroHalfError("xstar dimension mismatch")
-    xnum, denom = _point_numerators(xstar)
-    best = None  # ((neg violation, tie key), nums)
-    for nums in _iter_raw_multipliers(instance, modulus, None, budget):
-        coeffs, rhs = _cut_nums(instance, nums, modulus)
-        viol_num = sum(c * xv for c, xv in zip(coeffs, xnum)) - rhs * denom
-        if viol_num <= 0:
-            continue
-        key = (-viol_num, _tie_key(nums))
-        if best is None or key < best[0]:
-            best = (key, nums)
-    if best is None:
-        return None
-    return derive_cut(instance, _materialize(best[1], modulus))
+    return _most_violated(
+        instance, _iter_raw_multipliers(instance, modulus, None, budget), xstar, modulus
+    )
 
 
 def brute_primal_separate(
@@ -181,9 +157,8 @@ def brute_primal_separate(
     """
     inst = ctx.instance
     xhat = [int(v) for v in ctx.xhat]
-    xnum, denom = _point_numerators(ctx.xstar)
-    best = None
-    for nums in _iter_raw_multipliers(inst, 2, None, budget):
+
+    def tight_nontrivial(nums) -> bool:
         lam, down, up = nums
         # weighted slack at xhat, doubled: must equal exactly 1
         slack2 = (
@@ -191,18 +166,10 @@ def brute_primal_separate(
             + sum(d * x for d, x in zip(down, xhat) if d)
             + sum(u * (1 - x) for u, x in zip(up, xhat) if u)
         )
-        if slack2 != 1:
-            continue
-        coeffs, rhs = _cut_nums(inst, nums, 2)
-        viol_num = sum(c * xv for c, xv in zip(coeffs, xnum)) - rhs * denom
-        if viol_num <= 0:
-            continue
-        key = (-viol_num, _tie_key(nums))
-        if best is None or key < best[0]:
-            best = (key, nums)
-    if best is None:
-        return None
-    return derive_cut(inst, _materialize(best[1], 2))
+        return slack2 == 1
+
+    candidates = filter(tight_nontrivial, _iter_raw_multipliers(inst, 2, None, budget))
+    return _most_violated(inst, candidates, ctx.xstar, 2)
 
 
 def enumerate_cut_rows(
@@ -224,21 +191,14 @@ def enumerate_cut_rows(
     for nums in _iter_raw_multipliers(instance, modulus, support_bound, budget, rows_only):
         if not any(nums[0]):
             continue
-        coeffs, rhs = _cut_nums(instance, nums, modulus)
+        coeffs, rhs = cut_numerators(instance, *nums, modulus)
         old = seen.get(coeffs)
         if old is None:
             seen[coeffs] = (rhs, nums)
             order.append(coeffs)
         elif rhs < old[0]:
             seen[coeffs] = (rhs, nums)
-    out = []
-    for coeffs in order:
-        rhs, nums = seen[coeffs]
-        cut = derive_cut(instance, _materialize(nums, modulus))
-        if cut.coeffs != coeffs or cut.rhs != rhs:
-            raise ZeroHalfError("enumeration bookkeeping out of sync")
-        out.append(cut)
-    return out
+    return [Cut(c, seen[c][0], _materialize(seen[c][1], modulus)) for c in order]
 
 
 def brute_closure_optimize(

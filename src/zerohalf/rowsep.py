@@ -33,19 +33,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    HALF,
     Cut,
     InternalConsistencyError,
     MethodNotApplicableError,
     Multipliers,
     SeparationContext,
     SeparationResult,
-    derive_cut,
-    is_tight_nontrivial,
+    accept_cut,
     parity_profile,
     slack_bound_cost,
     tight_bound_cost,
-    violation,
 )
 from .graphs import LengthEdge, LengthGraph, shortest_path
 
@@ -103,38 +100,35 @@ def multipliers_from_path(
     path_edges,
 ) -> Multipliers:
     """Assemble multipliers from a carrier and the edges of its path."""
-    inst = ctx.instance
-    lam = [Fraction(0)] * inst.m
-    down = [Fraction(0)] * inst.n
-    up = [Fraction(0)] * inst.n
+    lam, down, up = set(), set(), set()
 
     def flip_bound(i: int, slack_side: bool) -> None:
-        if down[i] or up[i]:
+        if i in down or i in up:
             raise InternalConsistencyError(
                 f"both bound rows of coordinate {i} selected"
             )
         if ctx.xhat[i] == 0:
-            (up if slack_side else down)[i] = HALF
+            (up if slack_side else down).add(i)
         elif ctx.xhat[i] == 1:
-            (down if slack_side else up)[i] = HALF
+            (down if slack_side else up).add(i)
         else:
             raise InternalConsistencyError(
                 f"coordinate {i} has no usable bound row"
             )
 
     if cand.kind == "row":
-        lam[cand.index] = HALF
+        lam.add(cand.index)
     else:
         flip_bound(cand.index, slack_side=True)
     for e in path_edges:
         kind, idx = e.tag
         if kind == "row":
-            if lam[idx]:
+            if idx in lam:
                 raise InternalConsistencyError(f"row {idx} used twice on the path")
-            lam[idx] = HALF
+            lam.add(idx)
         else:
             flip_bound(idx, slack_side=False)
-    return Multipliers(tuple(lam), tuple(down), tuple(up))
+    return Multipliers.from_support(ctx.instance.m, ctx.instance.n, lam, down, up)
 
 
 def primal_separate_row(ctx: SeparationContext) -> SeparationResult:
@@ -161,17 +155,10 @@ def primal_separate_row(ctx: SeparationContext) -> SeparationResult:
                 continue
             total = cand.fixed_cost + found.length
             path_edges = found.edges
-        if total >= 1:
-            continue
-        if best is not None and total >= best[0]:
+        if total >= (best[0] if best else 1):
             continue
         mult = multipliers_from_path(ctx, cand, path_edges)
-        cut = derive_cut(ctx.instance, mult)
-        if not is_tight_nontrivial(ctx, mult):
-            raise InternalConsistencyError("accepted cut is not tight at xhat")
-        if violation(cut, ctx.xstar) != (1 - total) / 2:
-            raise InternalConsistencyError("path length does not match violation")
-        best = (total, cut)
+        best = (total, accept_cut(ctx, mult, total))
     if calls > ctx.instance.m + ctx.instance.n:
         raise InternalConsistencyError("shortest-path budget exceeded")
     if best is None:

@@ -1,0 +1,100 @@
+"""Reference cut kernels for differential tests: the former Fraction code.
+
+These are the versions of ``derive_cut``, ``unfloored_rhs``,
+``extended_slack``, ``IlpInstance.slacks``/``feasibility_failure`` and
+``compute_context`` that ``zerohalf.core`` ran before points and
+multipliers were scaled to integer numerators.  Every sum here is a sum of
+``Fraction`` objects, row by row, so the package must return the same cut,
+slack, context or exception (type and message) on every input.  Kept only
+as a test oracle; nothing in the package imports it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from zerohalf.core import (
+    Cut,
+    DimensionMismatchError,
+    IlpInstance,
+    InfeasiblePointError,
+    Multipliers,
+    NonIntegralCutError,
+    NonIntegralPointError,
+    SeparationContext,
+    _check_bound_usage,
+    as_point,
+    is_integral,
+)
+
+
+def row_value(instance: IlpInstance, j: int, x: Sequence[Fraction]) -> Fraction:
+    return sum((a * xv for a, xv in zip(instance.A[j], x)), Fraction(0))
+
+
+def slacks(instance: IlpInstance, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return tuple([instance.b[j] - row_value(instance, j, x) for j in range(instance.m)])
+
+
+def feasibility_failure(instance: IlpInstance, x: Sequence[Fraction]) -> str | None:
+    if len(x) != instance.n:
+        raise DimensionMismatchError(f"point has {len(x)} coordinates, instance has {instance.n}")
+    for j in range(instance.m):
+        if row_value(instance, j, x) > instance.b[j]:
+            return f"row {j} violated"
+    for i in range(instance.n):
+        if instance.lower_present[i] and x[i] < 0:
+            return f"lower bound at coordinate {i} violated"
+        if instance.upper_present[i] and x[i] > 1:
+            return f"upper bound at coordinate {i} violated"
+    return None
+
+
+def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> SeparationContext:
+    xhat = as_point(xhat)
+    xstar = as_point(xstar)
+    if len(xhat) != instance.n or len(xstar) != instance.n:
+        raise DimensionMismatchError(
+            f"points have {len(xhat)}/{len(xstar)} coordinates, instance has {instance.n}"
+        )
+    if not is_integral(xhat):
+        raise NonIntegralPointError(f"xhat {xhat} is not integral")
+    bad = feasibility_failure(instance, xhat)
+    if bad is not None:
+        raise InfeasiblePointError("xhat", bad)
+    bad = feasibility_failure(instance, xstar)
+    if bad is not None:
+        raise InfeasiblePointError("xstar", bad)
+    slack_hat = tuple([int(s) for s in slacks(instance, xhat)])
+    slack_star = slacks(instance, xstar)
+    ones = frozenset(j for j, s in enumerate(slack_hat) if s == 1)
+    tight = frozenset(j for j, s in enumerate(slack_hat) if s == 0)
+    return SeparationContext(instance, xhat, xstar, slack_hat, slack_star, ones, tight)
+
+
+def unfloored_rhs(instance: IlpInstance, mult: Multipliers) -> Fraction:
+    total = sum((l * bv for l, bv in zip(mult.lam, instance.b)), Fraction(0))
+    return total + sum(mult.mu_up, Fraction(0))
+
+
+def derive_cut(instance: IlpInstance, mult: Multipliers) -> Cut:
+    _check_bound_usage(instance, mult)
+    coeffs = []
+    for i in range(instance.n):
+        c = sum((mult.lam[j] * instance.A[j][i] for j in range(instance.m)), Fraction(0))
+        c = c - mult.mu_down[i] + mult.mu_up[i]
+        if c.denominator != 1:
+            raise NonIntegralCutError(f"coefficient {c} at coordinate {i} is not integral")
+        coeffs.append(int(c))
+    rhs_exact = unfloored_rhs(instance, mult)
+    rhs = rhs_exact.numerator // rhs_exact.denominator  # floor
+    return Cut(tuple(coeffs), rhs, mult)
+
+
+def extended_slack(instance: IlpInstance, mult: Multipliers, point: Sequence[Fraction]) -> Fraction:
+    s = slacks(instance, point)
+    total = sum((l * sv for l, sv in zip(mult.lam, s)), Fraction(0))
+    total += sum((d * xv for d, xv in zip(mult.mu_down, point)), Fraction(0))
+    total += sum((u * (1 - xv) for u, xv in zip(mult.mu_up, point)), Fraction(0))
+    return total

@@ -359,7 +359,26 @@ class TestCheck:
             ["check", "--instance", inst, "--xhat", xhat,
              "--lambda", "1/3", "1/3", "1/3"]
         )
-        assert capsys.readouterr().out.splitlines()[0] == "VALID no"
+        assert capsys.readouterr().out.splitlines() == [
+            "VALID no",
+            "REASON lam entry 1/3 not in {0, 1/2}",
+        ]
+
+    @pytest.mark.parametrize("extra, expected", [
+        (["--lambda", "1/2", "1/2"], "--lambda has 2 entries, expected 3 (one per row)"),
+        (["--lambda", "1/2", "1/2", "1/2", "0"], "--lambda has 4 entries, expected 3 (one per row)"),
+        (["--lambda", "1/2", "1/2", "1/2", "--mu-down", "0", "0"],
+         "--mu-down has 2 entries, expected 3 (one per column)"),
+        (["--lambda", "1/2", "1/2", "1/2", "--mu-up", "0", "0", "0", "0"],
+         "--mu-up has 4 entries, expected 3 (one per column)"),
+    ])
+    def test_wrong_multiplier_count_is_usage(self, k3_paths, capsys, extra, expected):
+        inst, xhat, _ = k3_paths
+        code = run_command(["check", "--instance", inst, "--xhat", xhat] + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"usage error: {expected}\n"
 
     def test_non_tight_cut_reported(self, k3_paths, tmp_path, capsys):
         inst, _, _ = k3_paths
