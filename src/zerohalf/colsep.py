@@ -24,8 +24,9 @@ rows are contracted (onto each other, or onto the sink for a single odd
 row); a candidate whose mandatory source row lands in the sink component
 is infeasible and skipped without a minimum-cut call.  Selected rows are
 the source side of the cut; doubled extended slack at xstar equals the
-candidate's fixed cost plus the cut value, so a candidate yields a
-violated cut exactly when that total stays below 1.
+candidate's fixed cost plus the cut value.  Capacities and costs are
+integer numerators over ``ctx.scale``, so a candidate yields a violated
+cut exactly when that total stays below the scale.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .core import (
     SeparationResult,
     accept_cut,
     parity_profile,
-    slack_bound_cost,
-    tight_bound_cost,
 )
 from .graphs import CapacitatedGraph, FlowEdge, min_cut
 
@@ -63,7 +62,7 @@ class ColCandidate:
     kind: str
     source_row: int
     coord: int | None
-    fixed_cost: Fraction
+    fixed_cost: int
 
 
 @dataclass
@@ -75,17 +74,17 @@ class CutGraphInfo:
     graph: CapacitatedGraph | None
     source: int | None
     sink: int | None
-    fixed_cost: Fraction
+    fixed_cost: int
     members: dict[int, tuple[int, ...]]
 
 
 def enumerate_col_candidates(ctx: SeparationContext) -> list[ColCandidate]:
     out = []
     for j in sorted(ctx.slack_one_rows):
-        out.append(ColCandidate("row", j, None, Fraction(0)))
+        out.append(ColCandidate("row", j, None, 0))
     tight = sorted(ctx.tight_rows)
     for i in range(ctx.instance.n):
-        fixed = slack_bound_cost(ctx, i)
+        fixed = ctx.slack_bound_cost[i]
         if fixed is None:
             continue
         for v in tight:
@@ -133,7 +132,7 @@ def build_cut_graph(ctx: SeparationContext, cand: ColCandidate) -> CutGraphInfo:
 
     uf = _UnionFind(committed + [_SINK])
     for i in range(inst.n):
-        if tight_bound_cost(ctx, i) is not None:
+        if ctx.tight_bound_cost[i] is not None:
             continue
         if i == cand.coord:
             # the source is fixed by the slack bound row; a second odd row
@@ -158,13 +157,14 @@ def build_cut_graph(ctx: SeparationContext, cand: ColCandidate) -> CutGraphInfo:
         if root != sink:
             edges.append(FlowEdge(root, sink, ctx.slack_star[v], ("slack", v)))
     for i in range(inst.n):
-        cap = tight_bound_cost(ctx, i)
+        cap = ctx.tight_bound_cost[i]
         if cap is None:
             continue
         if i == cand.coord:
             # selecting the partner row as well would make the column even
             # again; price that at the repair cost, which together with the
-            # fixed cost reaches 1 and can never be part of an accepted cut
+            # fixed cost reaches the scale and can never be part of an
+            # accepted cut
             if partner is not None and uf.find(partner) != sink:
                 edges.append(FlowEdge(uf.find(partner), sink, cap, ("partner", i)))
             continue
@@ -213,7 +213,7 @@ def extract_multipliers(
             # the bound row with slack 1 at xhat, opposite the tight side
             (up if ctx.xhat[i] == 0 else down).append(i)
         elif odd:
-            if tight_bound_cost(ctx, i) is None:
+            if ctx.tight_bound_cost[i] is None:
                 raise InternalConsistencyError(
                     f"odd coordinate {i} has no bound row to repair it"
                 )
@@ -232,7 +232,7 @@ def primal_separate_col(ctx: SeparationContext) -> SeparationResult:
         raise MethodNotApplicableError(
             "a column of A has more than two odd entries"
         )
-    best: tuple[Fraction, Cut] | None = None
+    best: tuple[int, Cut, Fraction] | None = None
     calls = 0
     for cand in enumerate_col_candidates(ctx):
         info = build_cut_graph(ctx, cand)
@@ -241,13 +241,13 @@ def primal_separate_col(ctx: SeparationContext) -> SeparationResult:
         res = min_cut(info.graph, info.source, info.sink)
         calls += 1
         total = info.fixed_cost + res.value
-        if total >= (best[0] if best else 1):
+        if total >= (best[0] if best else ctx.scale):
             continue
         mult = extract_multipliers(ctx, info, res.source_side)
-        best = (total, accept_cut(ctx, mult, total))
+        best = (total, *accept_cut(ctx, mult, total))
     limit = ctx.instance.m + 2 * ctx.instance.n
     if calls > limit:
         raise InternalConsistencyError("minimum-cut budget exceeded")
     if best is None:
         return SeparationResult(None, None, calls)
-    return SeparationResult(best[1], (1 - best[0]) / 2, calls)
+    return SeparationResult(best[1], best[2], calls)

@@ -261,15 +261,31 @@ class SeparationContext:
     rows that can serve as the single non-tight inequality of a cut tight at
     xhat) and ``tight_rows`` the rows with slack 0.  Rows with slack >= 2 can
     never participate in such a cut and appear in neither set.
+
+    Every cost at xstar is an integer numerator over ``scale``, the lcm of
+    the denominators of xstar, so the separators add and compare integers
+    and accept a candidate while its total stays below ``scale``.
+    ``slack_star`` holds the row slacks at xstar.  For each coordinate i,
+    ``tight_bound_cost[i]`` is the doubled cost at xstar of the bound row
+    tight at xhat: selecting it with multiplier 1/2 flips the parity of i
+    without adding slack at xhat, at the distance of xstar from xhat in i.
+    ``slack_bound_cost[i]`` is the doubled cost of the bound row with slack
+    exactly 1 at xhat, which can carry the single unit of slack a tight
+    nontrivial cut owns, at the distance of xstar from the far side of the
+    box.  Either is None when that side of the box is not part of the
+    instance, or when xhat is not at 0 or 1 in the coordinate.
     """
 
     instance: IlpInstance
     xhat: Point
     xstar: Point
     slack_hat: tuple[int, ...]
-    slack_star: tuple[Fraction, ...]
+    slack_star: tuple[int, ...]
+    scale: int
     slack_one_rows: frozenset[int]
     tight_rows: frozenset[int]
+    tight_bound_cost: tuple[int | None, ...]
+    slack_bound_cost: tuple[int | None, ...]
 
 
 def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> SeparationContext:
@@ -291,10 +307,19 @@ def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> S
     if bad is not None:
         raise InfeasiblePointError("xstar", bad)
     slack_hat = tuple(hat[0])  # xhat is integral, so its denominator is 1
-    slack_star = tuple([Fraction(s, star[2]) for s in star[0]])
+    slack_star, xnum, scale = star
     ones = frozenset(j for j, s in enumerate(slack_hat) if s == 1)
     tight = frozenset(j for j, s in enumerate(slack_hat) if s == 0)
-    return SeparationContext(instance, xhat, xstar, slack_hat, slack_star, ones, tight)
+    tight_cost, slack_cost = [], []
+    for h, v, low_ok, up_ok in zip(xhat, xnum, instance.lower_present, instance.upper_present):
+        low = v if low_ok else None  # slack of -x_i <= 0
+        up = scale - v if up_ok else None  # slack of x_i <= 1
+        tight_cost.append(low if h == 0 else up if h == 1 else None)
+        slack_cost.append(up if h == 0 else low if h == 1 else None)
+    return SeparationContext(
+        instance, xhat, xstar, slack_hat, tuple(slack_star), scale,
+        ones, tight, tuple(tight_cost), tuple(slack_cost),
+    )
 
 
 def _check_bound_usage(instance: IlpInstance, mult: Multipliers) -> None:
@@ -380,37 +405,6 @@ def _tight_nontrivial(ctx: SeparationContext, mult: Multipliers) -> bool:
     return 2 * _slack_num(mult, ctx.slack_hat, xhat, 1) == mult.modulus
 
 
-def tight_bound_cost(ctx: SeparationContext, i: int) -> Fraction | None:
-    """Cost at xstar of the bound row tight at xhat in coordinate i.
-
-    Selecting that row with multiplier 1/2 flips the parity of coordinate
-    i without adding slack at xhat; the doubled cost at xstar is the
-    distance of xstar from xhat in the coordinate.  None when the side of
-    the box that xhat sits on is not part of the instance (also when xhat
-    is not at 0 or 1 there, since then no bound row is tight at all).
-    """
-    if ctx.xhat[i] == 0 and ctx.instance.lower_present[i]:
-        return ctx.xstar[i]
-    if ctx.xhat[i] == 1 and ctx.instance.upper_present[i]:
-        return 1 - ctx.xstar[i]
-    return None
-
-
-def slack_bound_cost(ctx: SeparationContext, i: int) -> Fraction | None:
-    """Cost at xstar of the bound row with slack exactly 1 at xhat.
-
-    That row can carry the single unit of slack a tight nontrivial cut
-    owns; the doubled cost at xstar is the distance of xstar from the far
-    side of the box.  None when the far side is absent or xhat is not at
-    0 or 1 in the coordinate.
-    """
-    if ctx.xhat[i] == 0 and ctx.instance.upper_present[i]:
-        return 1 - ctx.xstar[i]
-    if ctx.xhat[i] == 1 and ctx.instance.lower_present[i]:
-        return ctx.xstar[i]
-    return None
-
-
 def is_tight_nontrivial(ctx: SeparationContext, mult: Multipliers) -> bool:
     """True iff the weighted slack at xhat is exactly 1/2.
 
@@ -422,19 +416,21 @@ def is_tight_nontrivial(ctx: SeparationContext, mult: Multipliers) -> bool:
     return _tight_nontrivial(ctx, mult)
 
 
-def accept_cut(ctx: SeparationContext, mult: Multipliers, total: Fraction) -> Cut:
-    """The cut of a separator's accepted candidate, certified.
+def accept_cut(ctx: SeparationContext, mult: Multipliers, total: int) -> tuple[Cut, Fraction]:
+    """The cut of a separator's accepted candidate and its violation, certified.
 
-    ``total`` is the candidate's doubled extended slack at xstar.  The cut
-    must have doubled slack exactly 1 at xhat and violation ``(1 - total) / 2``
-    at xstar; anything else is a bug (InternalConsistencyError).
+    ``total`` is the candidate's doubled extended slack at xstar, over
+    ``ctx.scale``.  The cut must have doubled slack exactly 1 at xhat and
+    violation ``(scale - total) / (2 * scale)`` at xstar; anything else is
+    a bug (InternalConsistencyError).
     """
     cut = derive_cut(ctx.instance, mult)
     if not _tight_nontrivial(ctx, mult):
         raise InternalConsistencyError("accepted cut is not tight at xhat")
-    if violation(cut, ctx.xstar) != (1 - total) / 2:
+    gap = violation(cut, ctx.xstar)
+    if gap != Fraction(ctx.scale - total, 2 * ctx.scale):
         raise InternalConsistencyError("candidate cost does not match the violation")
-    return cut
+    return cut, gap
 
 
 def violation(cut: Cut, xstar: Sequence[Fraction]) -> Fraction:

@@ -79,8 +79,12 @@ def gen_primal_case(
 
     col2 keeps every column at no more than two odd entries, row2 does the
     same per row, mixed applies no parity control.  Box flags are thinned
-    at random.  Sizes default to the ranges the oracle suites use.
+    at random.  Sizes default to the ranges the oracle suites use; a given
+    size below 1 is rejected before anything is drawn.
     """
+    for name, size in (("rows", rows), ("cols", cols)):
+        if size is not None and size < 1:
+            raise ZeroHalfError(f"{name} must be at least 1, got {size}")
     for _ in range(200):
         m = rows if rows is not None else rng.randrange(2, 9)
         n = cols if cols is not None else rng.randrange(2, 7)

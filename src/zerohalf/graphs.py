@@ -3,7 +3,10 @@
 Both graph types are undirected with parallel edges allowed; every edge
 carries an opaque ``tag`` so callers can recover which constraint or
 coordinate an edge came from.  Capacities and lengths are nonnegative
-rationals and all computations are exact.
+exact rationals, ``int`` or ``fractions.Fraction``, and sums start from the
+integer 0, so integer weights (the separators pass numerators over one
+common scale) never become ``Fraction`` objects.  Results follow the input
+type.
 
 ``min_cut`` runs augmenting-path max-flow (shortest augmenting paths, each
 undirected edge modelled as an opposing arc pair) and returns the source
@@ -18,7 +21,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from typing import Hashable, Iterable, Sequence
 
 from .core import InternalConsistencyError, ZeroHalfError
@@ -32,7 +35,7 @@ class GraphError(ZeroHalfError):
 class FlowEdge:
     u: Hashable
     v: Hashable
-    capacity: Fraction
+    capacity: Rational
     tag: Hashable = None
 
 
@@ -40,7 +43,7 @@ class FlowEdge:
 class LengthEdge:
     u: Hashable
     v: Hashable
-    length: Fraction
+    length: Rational
     tag: Hashable = None
 
 
@@ -60,24 +63,20 @@ def _check_edges(nodes: Sequence[Hashable], edges, weight_attr: str):
 class CapacitatedGraph:
     def __init__(self, nodes: Iterable[Hashable], edges: Iterable[FlowEdge]):
         self.nodes = tuple(nodes)
-        self.edges = tuple(
-            [FlowEdge(e.u, e.v, Fraction(e.capacity), e.tag) for e in edges]
-        )
+        self.edges = tuple(edges)
         _check_edges(self.nodes, self.edges, "capacity")
 
 
 class LengthGraph:
     def __init__(self, nodes: Iterable[Hashable], edges: Iterable[LengthEdge]):
         self.nodes = tuple(nodes)
-        self.edges = tuple(
-            [LengthEdge(e.u, e.v, Fraction(e.length), e.tag) for e in edges]
-        )
+        self.edges = tuple(edges)
         _check_edges(self.nodes, self.edges, "length")
 
 
 @dataclass(frozen=True)
 class MinCutResult:
-    value: Fraction
+    value: Rational
     source_side: frozenset
 
 
@@ -96,7 +95,7 @@ def min_cut(graph: CapacitatedGraph, s: Hashable, t: Hashable) -> MinCutResult:
     index = {v: i for i, v in enumerate(graph.nodes)}
     adjacency: list[list[int]] = [[] for _ in graph.nodes]
     arc_to: list[int] = []
-    residual: list[Fraction] = []
+    residual: list[Rational] = []
     for e in graph.edges:
         ui, vi = index[e.u], index[e.v]
         adjacency[ui].append(len(arc_to))
@@ -107,7 +106,7 @@ def min_cut(graph: CapacitatedGraph, s: Hashable, t: Hashable) -> MinCutResult:
         residual.append(e.capacity)
 
     si, ti = index[s], index[t]
-    flow = Fraction(0)
+    flow = 0
     while True:
         parent_arc = [-1] * len(graph.nodes)
         parent_arc[si] = -2
@@ -151,10 +150,7 @@ def min_cut(graph: CapacitatedGraph, s: Hashable, t: Hashable) -> MinCutResult:
                 queue.append(v)
     side = frozenset(v for v, i in index.items() if reached[i])
 
-    crossing = sum(
-        (e.capacity for e in graph.edges if (e.u in side) != (e.v in side)),
-        Fraction(0),
-    )
+    crossing = sum([e.capacity for e in graph.edges if (e.u in side) != (e.v in side)])
     if crossing != flow:
         raise InternalConsistencyError(
             f"cut capacity {crossing} does not match flow value {flow}"
@@ -164,7 +160,7 @@ def min_cut(graph: CapacitatedGraph, s: Hashable, t: Hashable) -> MinCutResult:
 
 @dataclass(frozen=True)
 class PathResult:
-    length: Fraction
+    length: Rational
     edges: tuple[LengthEdge, ...]
 
 
@@ -182,7 +178,7 @@ def shortest_path(
     if s not in graph.nodes or t not in graph.nodes:
         raise GraphError("source or target not in graph")
     if s == t:
-        return PathResult(Fraction(0), ())
+        return PathResult(0, ())
 
     index = {v: i for i, v in enumerate(graph.nodes)}
     adjacency: list[list[tuple[int, LengthEdge]]] = [[] for _ in graph.nodes]
@@ -192,11 +188,11 @@ def shortest_path(
         adjacency[index[e.u]].append((index[e.v], e))
         adjacency[index[e.v]].append((index[e.u], e))
 
-    dist: list[Fraction | None] = [None] * len(graph.nodes)
+    dist: list[Rational | None] = [None] * len(graph.nodes)
     via: list[tuple[int, LengthEdge] | None] = [None] * len(graph.nodes)
     si, ti = index[s], index[t]
-    dist[si] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), si)]
+    dist[si] = 0
+    heap: list[tuple[Rational, int]] = [(0, si)]
     done = [False] * len(graph.nodes)
     while heap:
         d, u = heapq.heappop(heap)

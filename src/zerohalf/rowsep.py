@@ -23,8 +23,8 @@ completion is a shortest path:
   the opposite bound row of i, excluded by its edge tag.
 
 Doubled extended slack at xstar equals the carrier's own cost plus the
-path length, so a candidate is accepted exactly when the total stays
-below 1.
+path length.  Lengths and costs are integer numerators over ``ctx.scale``,
+so a candidate is accepted exactly when the total stays below the scale.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .core import (
     SeparationResult,
     accept_cut,
     parity_profile,
-    slack_bound_cost,
-    tight_bound_cost,
 )
 from .graphs import LengthEdge, LengthGraph, shortest_path
 
@@ -55,7 +53,7 @@ class RowCandidate:
 
     kind: str  # "row" | "box"
     index: int
-    fixed_cost: Fraction
+    fixed_cost: int
     terminals: tuple[int, ...]  # path endpoints; empty when no path is needed
 
 
@@ -69,7 +67,7 @@ def build_parity_graph(ctx: SeparationContext) -> LengthGraph:
         elif len(odd) == 1:
             edges.append(LengthEdge(odd[0], _TERM, ctx.slack_star[e], ("row", e)))
     for i in range(inst.n):
-        cost = tight_bound_cost(ctx, i)
+        cost = ctx.tight_bound_cost[i]
         if cost is not None:
             edges.append(LengthEdge(i, _TERM, cost, ("box", i)))
     return LengthGraph(tuple(range(inst.n)) + (_TERM,), tuple(edges))
@@ -88,7 +86,7 @@ def enumerate_row_candidates(ctx: SeparationContext) -> list[RowCandidate]:
             terminals = ()
         out.append(RowCandidate("row", j, ctx.slack_star[j], terminals))
     for i in range(inst.n):
-        fixed = slack_bound_cost(ctx, i)
+        fixed = ctx.slack_bound_cost[i]
         if fixed is not None:
             out.append(RowCandidate("box", i, fixed, (i, _TERM)))
     return out
@@ -141,7 +139,7 @@ def primal_separate_row(ctx: SeparationContext) -> SeparationResult:
     if not parity_profile(ctx.instance).row_method_ok:
         raise MethodNotApplicableError("a row of A has more than two odd entries")
     graph = build_parity_graph(ctx)
-    best: tuple[Fraction, Cut] | None = None
+    best: tuple[int, Cut, Fraction] | None = None
     calls = 0
     for cand in enumerate_row_candidates(ctx):
         if not cand.terminals:
@@ -155,12 +153,12 @@ def primal_separate_row(ctx: SeparationContext) -> SeparationResult:
                 continue
             total = cand.fixed_cost + found.length
             path_edges = found.edges
-        if total >= (best[0] if best else 1):
+        if total >= (best[0] if best else ctx.scale):
             continue
         mult = multipliers_from_path(ctx, cand, path_edges)
-        best = (total, accept_cut(ctx, mult, total))
+        best = (total, *accept_cut(ctx, mult, total))
     if calls > ctx.instance.m + ctx.instance.n:
         raise InternalConsistencyError("shortest-path budget exceeded")
     if best is None:
         return SeparationResult(None, None, calls)
-    return SeparationResult(best[1], (1 - best[0]) / 2, calls)
+    return SeparationResult(best[1], best[2], calls)

@@ -1,17 +1,22 @@
 """Reference cut kernels for differential tests: the former Fraction code.
 
 These are the versions of ``derive_cut``, ``unfloored_rhs``,
-``extended_slack``, ``IlpInstance.slacks``/``feasibility_failure`` and
-``compute_context`` that ``zerohalf.core`` ran before points and
+``extended_slack``, ``IlpInstance.slacks``/``feasibility_failure``,
+``compute_context`` and the bound costs ``tight_bound_cost``/
+``slack_bound_cost`` that ``zerohalf.core`` ran before points and
 multipliers were scaled to integer numerators.  Every sum here is a sum of
 ``Fraction`` objects, row by row, so the package must return the same cut,
-slack, context or exception (type and message) on every input.  Kept only
-as a test oracle; nothing in the package imports it.
+slack, context or exception (type and message) on every input; the context
+is computed in ``Fraction``s and only its costs at xstar are multiplied by
+the lcm of xstar's denominators at the end.  Kept only as a test oracle;
+nothing in the package imports it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 from zerohalf.core import (
@@ -70,7 +75,50 @@ def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> S
     slack_star = slacks(instance, xstar)
     ones = frozenset(j for j, s in enumerate(slack_hat) if s == 1)
     tight = frozenset(j for j, s in enumerate(slack_hat) if s == 0)
-    return SeparationContext(instance, xhat, xstar, slack_hat, slack_star, ones, tight)
+    # the bound costs below read only these three fields of a context
+    pair = SimpleNamespace(instance=instance, xhat=xhat, xstar=xstar)
+    tight_cost = [tight_bound_cost(pair, i) for i in range(instance.n)]
+    slack_cost = [slack_bound_cost(pair, i) for i in range(instance.n)]
+    scale = math.lcm(*[v.denominator for v in xstar])
+
+    def scaled(costs):
+        return tuple([None if c is None else c * scale for c in costs])
+
+    return SeparationContext(
+        instance, xhat, xstar, slack_hat, scaled(slack_star), scale,
+        ones, tight, scaled(tight_cost), scaled(slack_cost),
+    )
+
+
+def tight_bound_cost(ctx: SeparationContext, i: int) -> Fraction | None:
+    """Cost at xstar of the bound row tight at xhat in coordinate i.
+
+    Selecting that row with multiplier 1/2 flips the parity of coordinate
+    i without adding slack at xhat; the doubled cost at xstar is the
+    distance of xstar from xhat in the coordinate.  None when the side of
+    the box that xhat sits on is not part of the instance (also when xhat
+    is not at 0 or 1 there, since then no bound row is tight at all).
+    """
+    if ctx.xhat[i] == 0 and ctx.instance.lower_present[i]:
+        return ctx.xstar[i]
+    if ctx.xhat[i] == 1 and ctx.instance.upper_present[i]:
+        return 1 - ctx.xstar[i]
+    return None
+
+
+def slack_bound_cost(ctx: SeparationContext, i: int) -> Fraction | None:
+    """Cost at xstar of the bound row with slack exactly 1 at xhat.
+
+    That row can carry the single unit of slack a tight nontrivial cut
+    owns; the doubled cost at xstar is the distance of xstar from the far
+    side of the box.  None when the far side is absent or xhat is not at
+    0 or 1 in the coordinate.
+    """
+    if ctx.xhat[i] == 0 and ctx.instance.upper_present[i]:
+        return 1 - ctx.xstar[i]
+    if ctx.xhat[i] == 1 and ctx.instance.lower_present[i]:
+        return ctx.xstar[i]
+    return None
 
 
 def unfloored_rhs(instance: IlpInstance, mult: Multipliers) -> Fraction:

@@ -424,6 +424,24 @@ class TestGen:
         assert code == 0
         assert capsys.readouterr().out.startswith(("CUT", "NONE"))
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    @pytest.mark.parametrize("rows, cols, named", [
+        ("-1", "3", "rows must be at least 1, got -1"),
+        ("0", "3", "rows must be at least 1, got 0"),
+        ("3", "-1", "cols must be at least 1, got -1"),
+    ])
+    def test_nonpositive_size_is_precondition(
+        self, tmp_path, capsys, monkeypatch, seed, rows, cols, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen", "--seed", seed, "--rows", rows, "--cols", cols,
+                "--profile", "col2", "--out", "c"]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {named}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGarbage:
     """Commands free what they allocate by reference counting alone.

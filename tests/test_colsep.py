@@ -42,7 +42,8 @@ class TestCandidates:
             ("box", 0, 1),
             ("box", 1, 2),
         ]
-        assert all(c.fixed_cost == (0 if c.kind == "row" else HALF) for c in cands)
+        assert ctx.scale == 2
+        assert all(c.fixed_cost == (0 if c.kind == "row" else HALF * ctx.scale) for c in cands)
 
     def test_missing_slack_side_suppresses_box_candidates(self):
         # xhat pins every variable at 0 and there is no upper bound row
@@ -62,6 +63,7 @@ class TestGraphShape:
         cand = enumerate_col_candidates(ctx)[0]
         info = build_cut_graph(ctx, cand)
         assert not info.collapsed
+        assert ctx.scale == 2
         assert info.source == 2 and info.sink == -1
         assert info.members == {0: (0,), 1: (1,), 2: (2,)}
         slack_edges = {
@@ -74,9 +76,9 @@ class TestGraphShape:
             if e.tag[0] == "col"
         }
         assert col_edges == {
-            (frozenset((0, 1)), 0, HALF),
-            (frozenset((0, 2)), 1, HALF),
-            (frozenset((1, 2)), 2, HALF),
+            (frozenset((0, 1)), 0, HALF * ctx.scale),
+            (frozenset((0, 2)), 1, HALF * ctx.scale),
+            (frozenset((1, 2)), 2, HALF * ctx.scale),
         }
 
     def test_unrepairable_column_contracts_rows(self):
@@ -89,7 +91,7 @@ class TestGraphShape:
             upper_present=(True, True),
         )
         ctx = compute_context(inst, (1, 0), (HALF, Fraction(-1, 2)))
-        cand = ColCandidate("box", 0, 0, ctx.xstar[0])
+        cand = ColCandidate("box", 0, 0, ctx.slack_bound_cost[0])
         info = build_cut_graph(ctx, cand)
         assert not info.collapsed
         assert info.members == {0: (0, 1)}
@@ -104,10 +106,10 @@ class TestGraphShape:
         ctx = compute_context(inst, (1, 0), (HALF, Fraction(-1, 2)))
         # coordinate 1 carries the slack bound row and cannot be repaired,
         # so the partner of the source row is pinned to the sink
-        info = build_cut_graph(ctx, ColCandidate("box", 1, 1, 1 - ctx.xstar[1]))
+        info = build_cut_graph(ctx, ColCandidate("box", 1, 1, ctx.slack_bound_cost[1]))
         assert not info.collapsed
         assert info.members == {1: (1,), -1: (0,)}
-        info0 = build_cut_graph(ctx, ColCandidate("box", 0, 1, 1 - ctx.xstar[1]))
+        info0 = build_cut_graph(ctx, ColCandidate("box", 0, 1, ctx.slack_bound_cost[1]))
         assert not info0.collapsed
         assert info0.members == {0: (0,), -1: (1,)}
 
@@ -181,9 +183,9 @@ class TestCostIdentity:
                     except InternalConsistencyError:
                         # the partner row of a bound candidate was selected;
                         # such selections are priced out of acceptance
-                        assert cost >= 1
+                        assert cost >= ctx.scale
                         continue
-                    assert cost == 2 * extended_slack(triangle, mult, ctx.xstar)
+                    assert cost == 2 * ctx.scale * extended_slack(triangle, mult, ctx.xstar)
                     assert is_tight_nontrivial(ctx, mult)
                     checked += 1
         assert checked >= 10

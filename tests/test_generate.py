@@ -45,6 +45,18 @@ def test_explicit_sizes_respected():
     assert case.instance.m == 3 and case.instance.n == 5
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("rows, cols, bad", [(-1, 3, "rows"), (0, 3, "rows"), (3, -1, "cols")])
+@pytest.mark.parametrize("profile", ["col2", "row2"])
+def test_nonpositive_sizes_rejected_before_drawing(seed, rows, cols, bad, profile):
+    rng = random.Random(seed)
+    state = rng.getstate()
+    value = rows if bad == "rows" else cols
+    with pytest.raises(ZeroHalfError, match=f"^{bad} must be at least 1, got {value}$"):
+        gen_primal_case(rng, rows, cols, profile)
+    assert rng.getstate() == state
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(ZeroHalfError):
         gen_primal_case(random.Random(0), profile="dense")

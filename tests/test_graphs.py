@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,3 +137,46 @@ class TestShortestPath:
             again = shortest_path(g, "s", "t")
             assert again.length == first.length
             assert tuple(e.tag for e in again.edges) == tuple(e.tag for e in first.edges)
+
+
+def tagged(edge_type, ends, weights):
+    return [edge_type(u, v, w, k) for k, ((u, v), w) in enumerate(zip(ends, weights))]
+
+
+class TestScaleInvariance:
+    """Integer weights over a common scale give the Fraction answers.
+
+    The separators hand the kernels numerators over the lcm of xstar's
+    denominators; scaling every weight by one positive integer must keep
+    every comparison and tie, so the same source side and the same path
+    come back with the value multiplied by the scale.
+    """
+
+    def test_integer_weights_give_the_fraction_answers(self):
+        rng = random.Random("graphs/scale-invariance")
+        paths = 0
+        for _ in range(300):
+            nodes = list(range(rng.randint(2, 7)))
+            ends = [rng.sample(nodes, 2) for _ in range(rng.randint(0, 12))]
+            weights = [F(rng.randrange(4), rng.choice((1, 2, 3, 4, 6))) for _ in ends]
+            scale = math.lcm(*[w.denominator for w in weights])
+            ints = [int(w * scale) for w in weights]
+            s, t = rng.sample(nodes, 2)
+
+            cut = min_cut(CapacitatedGraph(nodes, tagged(FlowEdge, ends, weights)), s, t)
+            scaled = min_cut(CapacitatedGraph(nodes, tagged(FlowEdge, ends, ints)), s, t)
+            assert type(scaled.value) is int
+            assert scaled.value == cut.value * scale
+            assert scaled.source_side == cut.source_side
+
+            forbidden = rng.randrange(len(ends)) if ends and rng.random() < 0.5 else None
+            path = shortest_path(LengthGraph(nodes, tagged(LengthEdge, ends, weights)), s, t, forbidden)
+            scaled_path = shortest_path(LengthGraph(nodes, tagged(LengthEdge, ends, ints)), s, t, forbidden)
+            if path is None:
+                assert scaled_path is None
+                continue
+            paths += 1
+            assert type(scaled_path.length) is int
+            assert scaled_path.length == path.length * scale
+            assert [e.tag for e in scaled_path.edges] == [e.tag for e in path.edges]
+        assert paths >= 100

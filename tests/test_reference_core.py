@@ -127,6 +127,9 @@ def test_separation_context_matches_the_fraction_code(profile):
                 continue
             assert got == ref.compute_context(case.instance, xhat, xstar)
             assert all(type(s) is int for s in got.slack_hat)
-            assert all(type(s) is Fraction for s in got.slack_star)
+            assert all(type(s) is int for s in got.slack_star)
+            costs = got.tight_bound_cost + got.slack_bound_cost
+            assert type(got.scale) is int
+            assert all(c is None or type(c) is int for c in costs)
             roles.add("feasible")
     assert roles == {"feasible", "xhat", "xstar"}

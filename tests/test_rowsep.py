@@ -38,6 +38,7 @@ class TestParityGraph:
     def test_triangle_edges(self, triangle):
         ctx = triangle_ctx(triangle)
         graph = build_parity_graph(ctx)
+        assert ctx.scale == 2
         assert set(graph.nodes) == {0, 1, 2, TERM}
         rows = {
             e.tag[1]: (frozenset((e.u, e.v)), e.length)
@@ -54,9 +55,9 @@ class TestParityGraph:
             if e.tag[0] == "box"
         }
         assert boxes == {
-            0: (frozenset((0, TERM)), HALF),
-            1: (frozenset((1, TERM)), HALF),
-            2: (frozenset((2, TERM)), HALF),
+            0: (frozenset((0, TERM)), HALF * ctx.scale),
+            1: (frozenset((1, TERM)), HALF * ctx.scale),
+            2: (frozenset((2, TERM)), HALF * ctx.scale),
         }
 
     def test_all_even_tight_row_gets_no_edge(self):
@@ -97,8 +98,9 @@ class TestCandidates:
             ("box", 1, (1, TERM)),
             ("box", 2, (2, TERM)),
         ]
+        assert ctx.scale == 2
         assert cands[0].fixed_cost == 0
-        assert all(c.fixed_cost == HALF for c in cands[1:])
+        assert all(c.fixed_cost == HALF * ctx.scale for c in cands[1:])
 
     def test_slack_row_with_one_and_zero_odd_entries(self):
         inst = IlpInstance(
@@ -120,9 +122,10 @@ class TestReconstruction:
         ctx = triangle_ctx(triangle)
         graph = build_parity_graph(ctx)
         found = shortest_path(graph, 1, TERM, forbidden_tag=("box", 1))
-        assert found.length == HALF
+        assert ctx.scale == 2
+        assert found.length == HALF * ctx.scale
         assert [e.tag for e in found.edges] == [("row", 0), ("box", 0)]
-        cand = RowCandidate("box", 1, HALF, (1, TERM))
+        cand = RowCandidate("box", 1, ctx.slack_bound_cost[1], (1, TERM))
         mult = multipliers_from_path(ctx, cand, found.edges)
         assert mult.lam == (HALF, 0, 0)
         assert mult.mu_up == (HALF, HALF, 0)
@@ -215,7 +218,7 @@ class TestCostIdentity:
             for path in all_simple_paths(graph, *cand.terminals, forbidden):
                 mult = multipliers_from_path(ctx, cand, path)
                 cost = cand.fixed_cost + sum(e.length for e in path)
-                assert cost == 2 * extended_slack(triangle, mult, ctx.xstar)
+                assert cost == 2 * ctx.scale * extended_slack(triangle, mult, ctx.xstar)
                 assert is_tight_nontrivial(ctx, mult)
                 checked += 1
         assert checked >= 8
