@@ -314,8 +314,6 @@ def _cmd_match(ns) -> int:
 
 def _cmd_oracle_opt(ns) -> int:
     inst = parse_instance(_read(ns.instance), ns.instance)
-    if ns.modulus < 2:
-        raise ZeroHalfError(f"modulus must be at least 2, got {ns.modulus}")
     value, point = brute_closure_optimize(inst, None, ns.modulus)
     print(f"VALUE {fmt_frac(value)}")
     print(f"ARGMAX {_fmt_vec(point)}")

@@ -14,9 +14,18 @@ bound-support argument works for any modulus q, with numerator sum at
 most q*k.  Both preconditions, b >= 1 and a nonnegative objective, are
 checked.
 
-The family is the oracle's cut list restricted to that weight:
-``oracle.enumerate_cut_rows`` with ``rows_only`` and support bound k, so
-the approximation and the exhaustive closure share one enumerator.  Bound
+With row multipliers alone, lam/q derives an integral cut exactly when
+lam A = 0 (mod q), so for prime q the family is read off the left kernel of
+A over GF(q) (the mod-2 reduction of Caprara and Fischetti): one row
+reduction gives a kernel basis in reduced echelon form, each basis vector
+owning one pivot coordinate where lam equals its coefficient.  A depth-first
+walk over the combinations drops every branch whose pivot coefficients
+already sum past q*k, so for fixed eps and q the work is polynomial in m
+(at most (d+1)^(q*k) combinations, d the kernel dimension).  Composite q is
+no field; it walks the multiplier grid with ``oracle.enumerate_cut_rows``,
+as does q >= 2^32, whose primality is not tested.
+Either way the cuts go through ``oracle.tightest_cuts`` in grid order, so
+both paths give the list the exhaustive enumeration would.  Bound
 rows of the instance participate in the linear program as ordinary rows
 but are never combined into cuts here; a bound that should take part in
 cut generation has to be written as an explicit row of A, which the b >= 1
@@ -32,6 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    BudgetExceededError,
     Cut,
     IlpInstance,
     MethodNotApplicableError,
@@ -40,7 +50,7 @@ from .core import (
     ZeroHalfError,
     objective_of,
 )
-from .oracle import DEFAULT_BUDGET, enumerate_cut_rows
+from .oracle import DEFAULT_BUDGET, enumerate_cut_rows, tightest_cuts
 from .simplex import solve_relaxation
 
 
@@ -125,6 +135,78 @@ def monotone_presolve(
     return reduced, report
 
 
+# Largest modulus whose primality is settled by trial division (at most
+# 2^16 steps); a larger one takes the grid path, which holds for any modulus.
+_FIELD_LIMIT = 1 << 32
+
+
+def _is_prime(q: int) -> bool:
+    return 2 <= q < _FIELD_LIMIT and all(q % p for p in range(2, math.isqrt(q) + 1))
+
+
+def _row_reduce(rows: list[list[int]], ncols: int, q: int) -> int:
+    """Reduced echelon form over GF(q) on the first ncols columns, in place.
+
+    Returns the rank r: rows[:r] hold a 1 at their pivot column, pivots
+    ascending, and every other row is 0 there; rows[r:] are 0 on those
+    columns.
+    """
+    r = 0
+    for col in range(ncols):
+        hit = next((j for j in range(r, len(rows)) if rows[j][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = pow(rows[r][col], -1, q)
+        rows[r] = [v * inv % q for v in rows[r]]
+        for j, row in enumerate(rows):
+            f = row[col]
+            if j != r and f:
+                rows[j] = [(v - f * w) % q for v, w in zip(row, rows[r])]
+        r += 1
+    return r
+
+
+def _kernel_multipliers(instance: IlpInstance, q: int, cap: int, budget: int) -> list[tuple[int, ...]]:
+    """Nonzero lam in {0..q-1}^m with lam A = 0 (mod q) and sum(lam) <= cap.
+
+    q must be prime.  Sorted, i.e. in ``itertools.product`` order.  The
+    budget counts the kernel combinations the walk reaches.
+    """
+    m, n = instance.m, instance.n
+    rows = [[a % q for a in instance.A[j]] + [int(i == j) for i in range(m)] for j in range(m)]
+    rank = _row_reduce(rows, n, q)
+    basis = [row[n:] for row in rows[rank:]]  # rows with a zero A part
+    _row_reduce(basis, m, q)
+    d = len(basis)
+    # An odometer over the coefficients c, last digit fastest, skipping
+    # every c whose digit sum (lam's pivot entries) exceeds cap.
+    # partial[t] is sum_{i<t} c_i basis[i] mod q, so partial[d] is lam.
+    c = [0] * d
+    partial = [(0,) * m] * (d + 1)
+    used = spent = 0
+    found = []
+    while True:
+        spent += 1
+        if spent > budget:
+            raise BudgetExceededError(f"more than {budget} multiplier candidates")
+        lam = partial[d]
+        if 0 < sum(lam) <= cap:
+            found.append(lam)
+        # advance the rightmost digit that can grow; the digits after it drop to 0
+        t, tail = d - 1, 0
+        while t >= 0 and (c[t] == q - 1 or used - tail >= cap):
+            tail += c[t]
+            t -= 1
+        if t < 0:
+            return sorted(found)
+        c[t + 1:] = [0] * (d - t - 1)
+        c[t] += 1
+        used += 1 - tail
+        step = tuple([(a + b) % q for a, b in zip(partial[t + 1], basis[t])])
+        partial[t + 1:] = [step] * (d - t)
+
+
 def enumerate_bounded_cuts(
     instance: IlpInstance,
     params: ApproxParams,
@@ -132,18 +214,23 @@ def enumerate_bounded_cuts(
 ) -> list[Cut]:
     """All cuts from row multiplier vectors of weight at most k, deduplicated.
 
-    ``oracle.enumerate_cut_rows`` with ``rows_only`` and support bound k,
-    after checking b >= 1: integrality of every coefficient is required
+    After checking b >= 1: integrality of every coefficient is required
     outright, and per coefficient vector the smallest right-hand side is
-    kept, with the earliest multiplier vector as provenance.
+    kept, with the earliest multiplier vector in grid order as provenance
+    (``oracle.tightest_cuts``).  Prime q enumerates the left kernel of A
+    mod q and the budget counts kernel combinations; composite q runs
+    ``oracle.enumerate_cut_rows``, whose budget counts grid vectors.
     """
     if any(v <= 0 for v in instance.b):
         raise MethodNotApplicableError(
             "the approximation needs b >= 1 on every row"
         )
-    return enumerate_cut_rows(
-        instance, params.modulus, Fraction(params.k), budget, rows_only=True
-    )
+    q = params.modulus
+    if not _is_prime(q):
+        return enumerate_cut_rows(instance, q, Fraction(params.k), budget, rows_only=True)
+    zero = (0,) * instance.n
+    lams = _kernel_multipliers(instance, q, q * params.k, budget)
+    return tightest_cuts(instance, [(lam, zero, zero) for lam in lams], q)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    BudgetExceededError,
     Cut,
     IlpInstance,
     InternalConsistencyError,
@@ -31,6 +32,10 @@ from .core import (
 )
 from .colsep import primal_separate_col
 from .simplex import solve_relaxation
+
+# Alternating walks ``_best_toggle`` may visit per call; more raise
+# BudgetExceededError instead of letting the exponential search run on.
+TOGGLE_NODE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,8 +132,8 @@ def _best_toggle(
     edges alternate between unmatched and matched, with an extra condition
     at path ends: an end landing on an unmatched edge must sit at an
     uncovered node.  All such structures inside the allowed edge set are
-    enumerated outright; ties prefer the lexicographically smallest sorted
-    index tuple.
+    enumerated outright, at most ``TOGGLE_NODE_BUDGET`` walks; ties prefer
+    the lexicographically smallest sorted index tuple.
     """
     covered = {}
     for e in matched:
@@ -141,9 +146,16 @@ def _best_toggle(
         adj[u].append((e, v))
         adj[v].append((e, u))
     best: tuple[int, tuple[int, ...]] | None = None
+    visited = 0
 
     def record(seq: list[int], start: int, end: int) -> None:
-        nonlocal best
+        # called once per walk _extend visits
+        nonlocal best, visited
+        visited += 1
+        if visited > TOGGLE_NODE_BUDGET:
+            raise BudgetExceededError(
+                f"more than {TOGGLE_NODE_BUDGET} alternating walks in one toggle search"
+            )
         if seq[0] not in matched and start in covered:
             return
         if seq[-1] not in matched and end in covered:

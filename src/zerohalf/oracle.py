@@ -12,9 +12,10 @@ under ``derive_cut``), and materialized as a ``Cut`` only when returned.
 Candidate counts are capped by a hard budget (default 2**20); blowing the
 budget raises BudgetExceededError rather than silently truncating.
 
-``enumerate_cut_rows`` is also the production enumerator of the closure
-approximation: ``closure.enumerate_bounded_cuts`` is this function with
-``rows_only`` and the support bound k.
+``enumerate_cut_rows`` stays on this brute loop: it is the ground truth
+that the closure approximation is checked against.  The approximation
+enumerates its own family from the left kernel of A over GF(q) (see
+``closure``) and shares only ``tightest_cuts``, the deduplication step.
 """
 
 from __future__ import annotations
@@ -56,8 +57,15 @@ def _iter_raw_multipliers(
     lambda vectors with integral weighted coefficients survive.  The budget
     counts examined lambda vectors plus yielded combinations.
     """
+    if not isinstance(modulus, int) or modulus < 2:
+        raise ZeroHalfError("modulus must be an integer of at least 2")
     q = modulus
     m, n = instance.m, instance.n
+    if q**m > budget:
+        # the walk examines all q^m lambda vectors, so it would overrun the
+        # budget anyway; fail before building the grid, which for a large q
+        # alone would not fit in memory
+        raise BudgetExceededError(f"more than {budget} multiplier candidates")
     cols = list(zip(*instance.A))  # column views for the residue pass
     max_num_sum = None
     if support_bound is not None:
@@ -99,17 +107,6 @@ def _iter_raw_multipliers(
 
 def _materialize(nums, q: int) -> Multipliers:
     return Multipliers(*[tuple([Fraction(p, q) for p in v]) for v in nums], modulus=q)
-
-
-def enumerate_valid_multipliers(
-    instance: IlpInstance,
-    modulus: int = 2,
-    support_bound: Fraction | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[Multipliers]:
-    """All multiplier vectors that derive to an integral cut, in grid order."""
-    for nums in _iter_raw_multipliers(instance, modulus, support_bound, budget):
-        yield _materialize(nums, modulus)
 
 
 def _most_violated(instance: IlpInstance, candidates, xstar: Point, modulus: int) -> Cut | None:
@@ -172,25 +169,17 @@ def brute_primal_separate(
     return _most_violated(inst, candidates, ctx.xstar, 2)
 
 
-def enumerate_cut_rows(
-    instance: IlpInstance,
-    modulus: int = 2,
-    support_bound: Fraction | None = None,
-    budget: int = DEFAULT_BUDGET,
-    rows_only: bool = False,
-) -> list[Cut]:
+def tightest_cuts(instance: IlpInstance, candidates, modulus: int) -> list[Cut]:
     """Deduplicated cut list: per coefficient vector only the tightest rhs.
 
-    Among multiplier vectors deriving the same inequality the first one in
-    enumeration order is kept as provenance.  rows_only restricts to cuts
-    taken from the rows of A alone, without bound-row rounding.  The zero
-    row multiplier is skipped: it derives nothing but ``0 <= 0``.
+    ``candidates`` are numerator triplets (lam, down, up) of valid
+    multiplier vectors.  Cuts come out in the order their coefficient
+    vector first appears; among the candidates deriving the smallest rhs
+    the first one is kept as provenance.
     """
     seen: dict[tuple[int, ...], tuple[int, tuple]] = {}
     order: list[tuple[int, ...]] = []
-    for nums in _iter_raw_multipliers(instance, modulus, support_bound, budget, rows_only):
-        if not any(nums[0]):
-            continue
+    for nums in candidates:
         coeffs, rhs = cut_numerators(instance, *nums, modulus)
         old = seen.get(coeffs)
         if old is None:
@@ -199,6 +188,23 @@ def enumerate_cut_rows(
         elif rhs < old[0]:
             seen[coeffs] = (rhs, nums)
     return [Cut(c, seen[c][0], _materialize(seen[c][1], modulus)) for c in order]
+
+
+def enumerate_cut_rows(
+    instance: IlpInstance,
+    modulus: int = 2,
+    support_bound: Fraction | None = None,
+    budget: int = DEFAULT_BUDGET,
+    rows_only: bool = False,
+) -> list[Cut]:
+    """``tightest_cuts`` over every valid multiplier vector, in grid order.
+
+    rows_only restricts to cuts taken from the rows of A alone, without
+    bound-row rounding.  The zero row multiplier is skipped: it derives
+    nothing but ``0 <= 0``.
+    """
+    raw = _iter_raw_multipliers(instance, modulus, support_bound, budget, rows_only)
+    return tightest_cuts(instance, (nums for nums in raw if any(nums[0])), modulus)
 
 
 def brute_closure_optimize(

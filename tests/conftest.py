@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from zerohalf.core import IlpInstance, as_point
+from zerohalf.oracle import DEFAULT_BUDGET, _iter_raw_multipliers, _materialize
 
 # verdict lines queued by the acceptance tests, echoed after the run
 # (the summary hook writes outside pytest's output capture)
@@ -26,6 +27,17 @@ def triangle_instance(objective=None) -> IlpInstance:
         upper_present=(True, True, True),
         objective=objective,
     )
+
+
+def enumerate_valid_multipliers(
+    instance: IlpInstance,
+    modulus: int = 2,
+    support_bound: Fraction | None = None,
+    budget: int = DEFAULT_BUDGET,
+):
+    """All multiplier vectors that derive to an integral cut, in grid order."""
+    for nums in _iter_raw_multipliers(instance, modulus, support_bound, budget):
+        yield _materialize(nums, modulus)
 
 
 @pytest.fixture

@@ -1,15 +1,16 @@
 """Reference cut enumerator for differential tests: the former closure loop.
 
-This is the loop ``zerohalf.closure.enumerate_bounded_cuts`` ran before it
-became a call to ``zerohalf.oracle.enumerate_cut_rows``.  It walks the same
-multiplier grid in the same order, so the package must return the same
-cuts, with the same provenance, on every input.  Kept only as a test
-oracle; nothing in the package imports it.
+This is the grid loop ``zerohalf.closure.enumerate_bounded_cuts`` ran
+before it enumerated the left kernel of A mod q.  It knows no linear
+algebra: it walks the multiplier grid in ``itertools.product`` order,
+skipping only the vectors over the weight bound, and keeps the integral
+ones, so the package must return the same cuts, with the same provenance,
+on every input.  Kept only as a test oracle; nothing in the package
+imports it.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from zerohalf.closure import ApproxParams
@@ -24,6 +25,16 @@ from zerohalf.core import (
 )
 
 
+def _grid(q: int, m: int, cap: int):
+    """Vectors in {0, ..., q-1}^m with entry sum at most cap, in product order."""
+    if m == 0:
+        yield ()
+        return
+    for v in range(min(q - 1, cap) + 1):
+        for rest in _grid(q, m - 1, cap - v):
+            yield (v,) + rest
+
+
 def enumerate_bounded_cuts(
     instance: IlpInstance,
     params: ApproxParams,
@@ -33,7 +44,8 @@ def enumerate_bounded_cuts(
 
     Only row multipliers participate; integrality of every coefficient is
     required outright.  Per coefficient vector the smallest right-hand
-    side is kept, with the earliest multiplier vector as provenance.
+    side is kept, with the earliest multiplier vector as provenance.  The
+    budget counts the grid vectors within the weight bound.
     """
     if any(v <= 0 for v in instance.b):
         raise MethodNotApplicableError(
@@ -45,12 +57,11 @@ def enumerate_bounded_cuts(
     seen: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     order: list[tuple[int, ...]] = []
     spent = 0
-    for p in itertools.product(range(q), repeat=instance.m):
+    for p in _grid(q, instance.m, cap):
         spent += 1
         if spent > budget:
             raise BudgetExceededError(f"more than {budget} multiplier candidates")
-        weight = sum(p)
-        if weight == 0 or weight > cap:
+        if not any(p):
             continue
         support = [j for j, v in enumerate(p) if v]
         sums = [sum(p[j] * col[j] for j in support) for col in cols]

@@ -32,13 +32,12 @@ from zerohalf.oracle import (
     brute_max_matching,
     brute_primal_separate,
     enumerate_cut_rows,
-    enumerate_valid_multipliers,
 )
 from zerohalf.rowsep import primal_separate_row
 from zerohalf.cli import run_command
 
 import conftest
-from conftest import triangle_instance
+from conftest import enumerate_valid_multipliers, triangle_instance
 
 
 def _report(num: int, name: str, ok: bool) -> None:

@@ -325,6 +325,14 @@ class TestOracleOpt:
         inst, _, _ = k3_paths
         assert run_command(["oracle-opt", "--instance", inst, "--modulus", "1"]) == 2
 
+    @pytest.mark.parametrize("q", ["0", "-3"])
+    def test_small_modulus_message(self, k3_paths, capsys, q):
+        inst, _, _ = k3_paths
+        assert run_command(["oracle-opt", "--instance", inst, "--modulus", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: modulus must be an integer of at least 2\n"
+
 
 class TestCheck:
     def test_blossom_verdict(self, k3_paths, capsys):

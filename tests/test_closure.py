@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zerohalf import closure
 from zerohalf.closure import (
     ApproxParams,
     approx_optimize,
@@ -13,6 +16,7 @@ from zerohalf.closure import (
     monotone_presolve,
 )
 from zerohalf.core import (
+    BudgetExceededError,
     IlpInstance,
     LpUnboundedError,
     MethodNotApplicableError,
@@ -252,6 +256,126 @@ def test_nonzero_multipliers_may_cancel_every_coefficient():
     assert [(c.coeffs, c.rhs) for c in got] == [((0,), 1)]
     assert got[0].provenance.lam == (H, H)
     assert _cut_rows(got) == _cut_rows(reference_bounded_cuts(inst, params))
+
+
+# ---------------------------------------------------- the GF(q) kernel path
+
+
+@st.composite
+def _family_instances(draw, max_rows):
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-2, 3)] * n)
+    flags = st.tuples(*[st.booleans()] * n)
+    return IlpInstance(
+        A=draw(st.tuples(*[row] * m)),
+        b=draw(st.tuples(*[st.integers(1, 4)] * m)),
+        lower_present=draw(flags),
+        upper_present=draw(flags),
+    )
+
+
+@pytest.mark.parametrize("q, max_rows", [(2, 7), (3, 6), (5, 4)])
+@pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 5)])
+def test_kernel_family_matches_both_grid_enumerators(q, max_rows, eps):
+    params = ApproxParams(epsilon=eps, modulus=q)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(_family_instances(max_rows))
+    def check(inst):
+        got = _cut_rows(enumerate_bounded_cuts(inst, params))
+        brute = enumerate_cut_rows(inst, q, F(params.k), rows_only=True)
+        assert got == _cut_rows(brute)
+        assert got == _cut_rows(reference_bounded_cuts(inst, params))
+
+    check()
+
+
+def _spy_on_grid_path(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return enumerate_cut_rows(*args, **kwargs)
+
+    monkeypatch.setattr(closure, "enumerate_cut_rows", spy)
+    return calls
+
+
+def test_composite_modulus_walks_the_grid(monkeypatch):
+    # q = 4 is no field: the family comes from the oracle's grid loop
+    calls = _spy_on_grid_path(monkeypatch)
+    rng = random.Random("composite/4")
+    params = ApproxParams(epsilon=F(1, 2), modulus=4)
+    for _ in range(10):
+        m, n = rng.randint(1, 5), rng.randint(1, 3)
+        inst = IlpInstance(
+            A=tuple(tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(m)),
+            b=tuple(rng.randint(1, 4) for _ in range(m)),
+            lower_present=(True,) * n,
+            upper_present=(True,) * n,
+        )
+        assert _cut_rows(enumerate_bounded_cuts(inst, params)) == _cut_rows(
+            reference_bounded_cuts(inst, params)
+        )
+    assert calls == [4] * 10
+    enumerate_bounded_cuts(triangle_instance(), ApproxParams(epsilon=1, modulus=3))
+    assert calls == [4] * 10
+
+
+def test_huge_modulus_walks_the_grid_without_a_primality_search(monkeypatch):
+    # 2^61 - 1 is prime, but testing that by trial division would take 2^30
+    # steps; the grid path needs no field and runs into its budget at once
+    calls = _spy_on_grid_path(monkeypatch)
+    q = (1 << 61) - 1
+    with pytest.raises(BudgetExceededError):
+        enumerate_bounded_cuts(triangle_instance(), ApproxParams(epsilon=1, modulus=q), budget=100)
+    assert calls == [q]
+
+
+def _boxed_instance(rng, m, n):
+    # the shape of the benchmark's closure instances
+    return IlpInstance(
+        A=tuple(tuple(rng.choice((-1, 0, 0, 1, 1, 2, 3)) for _ in range(n)) for _ in range(m)),
+        b=tuple(rng.randint(1, 5) for _ in range(m)),
+        lower_present=(True,) * n,
+        upper_present=(True,) * n,
+        objective=tuple(rng.randint(0, 4) for _ in range(n)),
+    )
+
+
+@pytest.mark.parametrize("m, q, eps", [(16, 3, F(1)), (20, 2, F(1, 2))])
+def test_many_rows_fit_the_default_budget(m, q, eps):
+    # walking all q^m grid vectors (and counting the survivors) overruns
+    # the default budget of 2^20; the kernel walk stays far below it
+    inst = _boxed_instance(random.Random(f"boxed-{m}x8"), m, 8)
+    params = ApproxParams(epsilon=eps, modulus=q)
+    got = enumerate_bounded_cuts(inst, params)
+    assert got
+    assert _cut_rows(got) == _cut_rows(reference_bounded_cuts(inst, params))
+    res = approx_optimize(inst, None, params)
+    assert res.cut_count == len(got)
+
+
+def test_budget_counts_kernel_combinations():
+    # six even rows: the kernel is all of GF(2)^6, and the walk reaches the
+    # 57 combinations with at most cap = 4 nonzero pivot coefficients
+    inst = IlpInstance(A=((2,),) * 6, b=(3,) * 6, lower_present=(True,), upper_present=(True,))
+    params = ApproxParams(epsilon=1)
+    assert len(enumerate_bounded_cuts(inst, params, budget=57)) == 4  # x <= 1, ..., 4x <= 6
+    with pytest.raises(BudgetExceededError, match="more than 56 multiplier candidates"):
+        enumerate_bounded_cuts(inst, params, budget=56)
+    with pytest.raises(BudgetExceededError):
+        enumerate_bounded_cuts(triangle_instance(), params, budget=1)
+
+
+def test_large_prime_modulus_walks_in_bounded_memory():
+    # lam = c * (1, -1) for every c < q: the walk meets each one in turn
+    # and stops at the budget, without first listing all q choices
+    q = 1_000_000_007
+    inst = IlpInstance(A=((1,), (1,)), b=(1, 1), lower_present=(True,), upper_present=(True,))
+    with pytest.raises(BudgetExceededError, match="more than 1000 multiplier"):
+        enumerate_bounded_cuts(inst, ApproxParams(epsilon=1, modulus=q), budget=1000)
 
 
 def _choose(m, s):

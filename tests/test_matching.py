@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from zerohalf.core import DimensionMismatchError, ZeroHalfError
+from zerohalf import matching
+from zerohalf.core import BudgetExceededError, DimensionMismatchError, ZeroHalfError
 from zerohalf.matching import (
     WeightedGraph,
     _best_toggle,
@@ -79,6 +80,23 @@ class TestToggleSearch:
         g = WeightedGraph(3, ((0, 1, 2), (1, 2, 3)))
         toggle = _best_toggle(g, (2, 3), frozenset({0}), frozenset({1}))
         assert toggle is None
+
+    def test_walk_budget_is_enforced(self, monkeypatch):
+        # the full search on a 4-cycle visits 24 walks: from each of the 8
+        # (node, edge) starts, lengths 1, 2 and 3; the 4th edge closes a cycle
+        g = WeightedGraph(4, ((0, 1, 5), (1, 2, 1), (2, 3, 5), (3, 0, 1)))
+        args = (g, (5, 1, 5, 1), frozenset({1, 3}), frozenset(range(4)))
+        monkeypatch.setattr(matching, "TOGGLE_NODE_BUDGET", 24)
+        assert _best_toggle(*args) == frozenset({0, 1, 2, 3})
+        monkeypatch.setattr(matching, "TOGGLE_NODE_BUDGET", 23)
+        with pytest.raises(BudgetExceededError, match="more than 23 alternating walks"):
+            _best_toggle(*args)
+
+    def test_solver_reports_an_exhausted_walk_budget(self, monkeypatch):
+        # K3 at xhat = 0: no cut is tight, so the solver must toggle
+        monkeypatch.setattr(matching, "TOGGLE_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceededError):
+            solve_matching(k3())
 
 
 class TestSolve:

@@ -21,10 +21,9 @@ from zerohalf.oracle import (
     brute_primal_separate,
     brute_standard_separate,
     enumerate_cut_rows,
-    enumerate_valid_multipliers,
 )
 
-from conftest import triangle_instance
+from conftest import enumerate_valid_multipliers, triangle_instance
 
 HALF = Fraction(1, 2)
 
@@ -187,6 +186,26 @@ class TestClosureOptimum:
     def test_missing_objective_rejected(self, triangle):
         with pytest.raises(ZeroHalfError):
             brute_closure_optimize(triangle)
+
+
+class TestModulus:
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_modulus_below_two_is_rejected(self, q):
+        inst = triangle_instance(objective=(1, 1, 1))
+        msg = "modulus must be an integer of at least 2"
+        with pytest.raises(ZeroHalfError, match=msg):
+            brute_closure_optimize(inst, None, q)
+        with pytest.raises(ZeroHalfError, match=msg):
+            brute_standard_separate(inst, (HALF, HALF, HALF), q)
+        with pytest.raises(ZeroHalfError, match=msg):
+            enumerate_cut_rows(inst, q)
+
+    def test_huge_modulus_exceeds_the_budget_up_front(self, triangle):
+        # the grid has q^3 vectors; range(q) itself must never be built
+        with pytest.raises(BudgetExceededError, match="more than 1048576"):
+            enumerate_cut_rows(triangle, 10**12)
+        with pytest.raises(BudgetExceededError):
+            brute_standard_separate(triangle, (HALF, HALF, HALF), 10**12)
 
 
 class TestBruteMatching:
