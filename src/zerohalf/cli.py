@@ -32,7 +32,6 @@ from .core import (
     extended_slack,
     is_integral,
     objective_of,
-    parity_profile,
     unfloored_rhs,
     violation,
 )
@@ -233,7 +232,7 @@ def _cmd_separate(ns) -> int:
     elif ns.method == "oracle":
         result = _oracle_separation(ctx)
     else:
-        profile = parity_profile(inst)
+        profile = ctx.parity
         if profile.column_method_ok:
             result = primal_separate_col(ctx)
         elif profile.row_method_ok:

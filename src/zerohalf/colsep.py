@@ -22,7 +22,12 @@ contraction forces rows together) plus a sink.  Edges:
 Where the repair side is absent the coordinate cannot be fixed, so its odd
 rows are contracted (onto each other, or onto the sink for a single odd
 row); a candidate whose mandatory source row lands in the sink component
-is infeasible and skipped without a minimum-cut call.  Selected rows are
+is infeasible and skipped without a minimum-cut call.  A box candidate's
+own coordinate goes through the same single-odd-row rule with the source
+row left out of its column: the slack bound row already fixes the source
+there, so the other odd row must stay unselected, pinned to the sink or
+priced at the repair cost, which with the fixed cost reaches the scale.
+The odd rows of each column come from ``ctx.parity``.  Selected rows are
 the source side of the cut; doubled extended slack at xstar equals the
 candidate's fixed cost plus the cut value.  Capacities and costs are
 integer numerators over ``ctx.scale``, so a candidate yields a violated
@@ -42,9 +47,9 @@ from .core import (
     SeparationContext,
     SeparationResult,
     accept_cut,
-    parity_profile,
+    selection_multipliers,
 )
-from .graphs import CapacitatedGraph, FlowEdge, min_cut
+from .graphs import Edge, Graph, min_cut
 
 _SINK = -1  # sentinel union-find element; real rows are >= 0
 
@@ -71,10 +76,9 @@ class CutGraphInfo:
 
     candidate: ColCandidate
     collapsed: bool
-    graph: CapacitatedGraph | None
+    graph: Graph | None
     source: int | None
     sink: int | None
-    fixed_cost: int
     members: dict[int, tuple[int, ...]]
 
 
@@ -82,13 +86,12 @@ def enumerate_col_candidates(ctx: SeparationContext) -> list[ColCandidate]:
     out = []
     for j in sorted(ctx.slack_one_rows):
         out.append(ColCandidate("row", j, None, 0))
-    tight = sorted(ctx.tight_rows)
-    for i in range(ctx.instance.n):
+    for i, rows in enumerate(ctx.parity.column_odd_rows):
         fixed = ctx.slack_bound_cost[i]
         if fixed is None:
             continue
-        for v in tight:
-            if ctx.instance.A[v][i] % 2:
+        for v in rows:
+            if v in ctx.tight_rows:
                 out.append(ColCandidate("box", v, i, fixed))
     return out
 
@@ -115,110 +118,65 @@ class _UnionFind:
 
 
 def build_cut_graph(ctx: SeparationContext, cand: ColCandidate) -> CutGraphInfo:
-    inst = ctx.instance
     committed = set(ctx.tight_rows)
     if cand.kind == "row":
         committed.add(cand.source_row)
+    # each column's odd committed rows; at a box candidate's coordinate the
+    # slack bound row already fixes the source, so only its partner is left
+    odd = [[v for v in rows if v in committed] for rows in ctx.parity.column_odd_rows]
+    if cand.coord is not None:
+        odd[cand.coord].remove(cand.source_row)
     committed = sorted(committed)
 
-    def odd_rows(i: int) -> list[int]:
-        return [v for v in committed if inst.A[v][i] % 2]
-
-    partner = None
-    if cand.coord is not None:
-        others = [v for v in odd_rows(cand.coord) if v != cand.source_row]
-        if others:
-            partner = others[0]
-
     uf = _UnionFind(committed + [_SINK])
-    for i in range(inst.n):
-        if ctx.tight_bound_cost[i] is not None:
-            continue
-        if i == cand.coord:
-            # the source is fixed by the slack bound row; a second odd row
-            # would break its parity and cannot be repaired, so pin it down
-            if partner is not None:
-                uf.union(partner, _SINK)
-            continue
-        odd = odd_rows(i)
-        if len(odd) == 2:
-            uf.union(odd[0], odd[1])
-        elif len(odd) == 1:
-            uf.union(odd[0], _SINK)
+    for i, rows in enumerate(odd):
+        if rows and ctx.tight_bound_cost[i] is None:
+            # no repair side: the odd rows travel together, or with the sink
+            uf.union(rows[0], rows[1] if len(rows) == 2 else _SINK)
 
     sink = uf.find(_SINK)
     source = uf.find(cand.source_row)
     if source == sink:
-        return CutGraphInfo(cand, True, None, None, None, cand.fixed_cost, {})
+        return CutGraphInfo(cand, True, None, None, None, {})
 
     edges = []
     for v in committed:
         root = uf.find(v)
         if root != sink:
-            edges.append(FlowEdge(root, sink, ctx.slack_star[v], ("slack", v)))
-    for i in range(inst.n):
+            edges.append(Edge(root, sink, ctx.slack_star[v], ("slack", v)))
+    for i, rows in enumerate(odd):
         cap = ctx.tight_bound_cost[i]
-        if cap is None:
+        if cap is None or not rows:
             continue
-        if i == cand.coord:
-            # selecting the partner row as well would make the column even
-            # again; price that at the repair cost, which together with the
-            # fixed cost reaches the scale and can never be part of an
-            # accepted cut
-            if partner is not None and uf.find(partner) != sink:
-                edges.append(FlowEdge(uf.find(partner), sink, cap, ("partner", i)))
-            continue
-        odd = odd_rows(i)
-        if len(odd) == 2:
-            a, b = uf.find(odd[0]), uf.find(odd[1])
-            if a != b:
-                edges.append(FlowEdge(a, b, cap, ("col", i)))
-        elif len(odd) == 1:
-            a = uf.find(odd[0])
-            if a != sink:
-                edges.append(FlowEdge(a, sink, cap, ("col", i)))
+        a = uf.find(rows[0])
+        b = uf.find(rows[1]) if len(rows) == 2 else sink
+        if a != b:
+            edges.append(Edge(a, b, cap, ("col", i)))
 
     members: dict[int, list[int]] = {}
     for v in committed:
         members.setdefault(uf.find(v), []).append(v)
     nodes = sorted(members) + ([sink] if sink not in members else [])
-    graph = CapacitatedGraph(tuple(nodes), tuple(edges))
     return CutGraphInfo(
-        cand,
-        False,
-        graph,
-        source,
-        sink,
-        cand.fixed_cost,
+        cand, False, Graph(nodes, edges), source, sink,
         {node: tuple(rows) for node, rows in members.items()},
     )
 
 
-def extract_multipliers(
-    ctx: SeparationContext, info: CutGraphInfo, source_side
-) -> Multipliers:
+def extract_multipliers(ctx: SeparationContext, info: CutGraphInfo, source_side) -> Multipliers:
     """Multipliers for a selected row set, bound rows chosen by parity."""
-    inst = ctx.instance
     rows = sorted(
         r for node in source_side if node in info.members for r in info.members[node]
     )
-    down, up = [], []
-    for i in range(inst.n):
-        odd = sum(inst.A[r][i] for r in rows) % 2
-        if i == info.candidate.coord:
-            if not odd:
-                raise InternalConsistencyError(
-                    "slack bound coordinate lost its odd row"
-                )
-            # the bound row with slack 1 at xhat, opposite the tight side
-            (up if ctx.xhat[i] == 0 else down).append(i)
-        elif odd:
-            if ctx.tight_bound_cost[i] is None:
-                raise InternalConsistencyError(
-                    f"odd coordinate {i} has no bound row to repair it"
-                )
-            (down if ctx.xhat[i] == 0 else up).append(i)
-    return Multipliers.from_support(inst.m, inst.n, rows, down, up)
+    odd: set[int] = set()
+    for r in rows:
+        odd.symmetric_difference_update(ctx.parity.row_odd_columns[r])
+    coord = info.candidate.coord
+    if coord is not None:
+        if coord not in odd:
+            raise InternalConsistencyError("slack bound coordinate lost its odd row")
+        odd.remove(coord)
+    return selection_multipliers(ctx, rows, sorted(odd), coord)
 
 
 def primal_separate_col(ctx: SeparationContext) -> SeparationResult:
@@ -228,10 +186,8 @@ def primal_separate_col(ctx: SeparationContext) -> SeparationResult:
     total.  Ties on the violation keep the earliest candidate (slack rows
     in index order, then bound candidates by coordinate and source row).
     """
-    if not parity_profile(ctx.instance).column_method_ok:
-        raise MethodNotApplicableError(
-            "a column of A has more than two odd entries"
-        )
+    if not ctx.parity.column_method_ok:
+        raise MethodNotApplicableError("a column of A has more than two odd entries")
     best: tuple[int, Cut, Fraction] | None = None
     calls = 0
     for cand in enumerate_col_candidates(ctx):
@@ -240,7 +196,7 @@ def primal_separate_col(ctx: SeparationContext) -> SeparationResult:
             continue
         res = min_cut(info.graph, info.source, info.sink)
         calls += 1
-        total = info.fixed_cost + res.value
+        total = cand.fixed_cost + res.value
         if total >= (best[0] if best else ctx.scale):
             continue
         mult = extract_multipliers(ctx, info, res.source_side)

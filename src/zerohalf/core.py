@@ -205,8 +205,8 @@ class Multipliers:
         object.__setattr__(self, "lam", tuple([Fraction(v) for v in self.lam]))
         object.__setattr__(self, "mu_down", tuple([Fraction(v) for v in self.mu_down]))
         object.__setattr__(self, "mu_up", tuple([Fraction(v) for v in self.mu_up]))
-        if self.modulus < 2:
-            raise MultiplierError(f"modulus {self.modulus} out of range")
+        if not isinstance(self.modulus, int) or self.modulus < 2:
+            raise MultiplierError(f"modulus {self.modulus!r} out of range")
         if len(self.mu_down) != len(self.mu_up):
             raise DimensionMismatchError("mu_down and mu_up lengths differ")
         _grid_check(self.lam, self.modulus, "lam")
@@ -254,6 +254,46 @@ class Cut:
 
 
 @dataclass(frozen=True)
+class ParityProfile:
+    """Positions of the odd entries of A, by column and by row.
+
+    ``column_odd_rows[i]`` lists the rows with an odd entry in column i and
+    ``row_odd_columns[j]`` the columns with an odd entry in row j, both in
+    index order.  At most two per column admits the minimum-cut separator,
+    at most two per row the shortest-path one.
+    """
+
+    column_odd_rows: tuple[tuple[int, ...], ...]
+    row_odd_columns: tuple[tuple[int, ...], ...]
+
+    @property
+    def column_odd_counts(self) -> tuple[int, ...]:
+        return tuple([len(rows) for rows in self.column_odd_rows])
+
+    @property
+    def row_odd_counts(self) -> tuple[int, ...]:
+        return tuple([len(cols) for cols in self.row_odd_columns])
+
+    @property
+    def column_method_ok(self) -> bool:
+        return max(self.column_odd_counts) <= 2
+
+    @property
+    def row_method_ok(self) -> bool:
+        return max(self.row_odd_counts) <= 2
+
+
+def parity_profile(instance: IlpInstance) -> ParityProfile:
+    """The odd positions of A, in one pass over its entries."""
+    rows = tuple([tuple([i for i, a in enumerate(row) if a % 2]) for row in instance.A])
+    cols: list[list[int]] = [[] for _ in range(instance.n)]
+    for j, odd in enumerate(rows):
+        for i in odd:
+            cols[i].append(j)
+    return ParityProfile(tuple(map(tuple, cols)), rows)
+
+
+@dataclass(frozen=True)
 class SeparationContext:
     """Everything the primal separators need about the pair (xhat, xstar).
 
@@ -273,7 +313,8 @@ class SeparationContext:
     exactly 1 at xhat, which can carry the single unit of slack a tight
     nontrivial cut owns, at the distance of xstar from the far side of the
     box.  Either is None when that side of the box is not part of the
-    instance, or when xhat is not at 0 or 1 in the coordinate.
+    instance, or when xhat is not at 0 or 1 in the coordinate.  ``parity``
+    holds the odd positions of A, which both separators read.
     """
 
     instance: IlpInstance
@@ -286,6 +327,7 @@ class SeparationContext:
     tight_rows: frozenset[int]
     tight_bound_cost: tuple[int | None, ...]
     slack_bound_cost: tuple[int | None, ...]
+    parity: ParityProfile
 
 
 def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> SeparationContext:
@@ -318,8 +360,32 @@ def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> S
         slack_cost.append(up if h == 0 else low if h == 1 else None)
     return SeparationContext(
         instance, xhat, xstar, slack_hat, tuple(slack_star), scale,
-        ones, tight, tuple(tight_cost), tuple(slack_cost),
+        ones, tight, tuple(tight_cost), tuple(slack_cost), parity_profile(instance),
     )
+
+
+def selection_multipliers(
+    ctx: SeparationContext, rows: Iterable[int], repaired: Iterable[int], carrier: int | None = None
+) -> Multipliers:
+    """Multipliers 1/2 on ``rows`` and on one bound row per named coordinate.
+
+    Each coordinate in ``repaired`` gets its bound row tight at xhat, which
+    fixes its parity at no slack; ``carrier`` gets its bound row with slack
+    1 at xhat.  A coordinate named twice, or without that bound row, is a
+    bug (InternalConsistencyError).
+    """
+    down, up = [], []
+    named = [(i, False) for i in repaired] + ([] if carrier is None else [(carrier, True)])
+    seen = set()
+    for i, slack_side in named:
+        cost = (ctx.slack_bound_cost if slack_side else ctx.tight_bound_cost)[i]
+        if i in seen or cost is None:
+            raise InternalConsistencyError(f"no free bound row to select at coordinate {i}")
+        seen.add(i)
+        # at xhat = 0 the lower row is the tight one and the upper has slack 1
+        tight_is_lower = ctx.xhat[i] == 0
+        (down if tight_is_lower != slack_side else up).append(i)
+    return Multipliers.from_support(ctx.instance.m, ctx.instance.n, rows, down, up)
 
 
 def _check_bound_usage(instance: IlpInstance, mult: Multipliers) -> None:
@@ -439,33 +505,6 @@ def violation(cut: Cut, xstar: Sequence[Fraction]) -> Fraction:
         raise DimensionMismatchError("point dimension does not match the cut")
     lhs = sum((c * Fraction(v) for c, v in zip(cut.coeffs, xstar)), Fraction(0))
     return lhs - cut.rhs
-
-
-@dataclass(frozen=True)
-class ParityProfile:
-    """Odd-entry counts of A, used to pick an applicable separator."""
-
-    column_odd_counts: tuple[int, ...]
-    row_odd_counts: tuple[int, ...]
-
-    @property
-    def column_method_ok(self) -> bool:
-        return max(self.column_odd_counts) <= 2
-
-    @property
-    def row_method_ok(self) -> bool:
-        return max(self.row_odd_counts) <= 2
-
-
-def parity_profile(instance: IlpInstance) -> ParityProfile:
-    cols = [0] * instance.n
-    rows = [0] * instance.m
-    for j in range(instance.m):
-        for i, a in enumerate(instance.A[j]):
-            if a % 2:
-                cols[i] += 1
-                rows[j] += 1
-    return ParityProfile(tuple(cols), tuple(rows))
 
 
 def box_rows(

@@ -1,12 +1,13 @@
 """Exact min-cut and shortest-path kernels.
 
-Both graph types are undirected with parallel edges allowed; every edge
-carries an opaque ``tag`` so callers can recover which constraint or
-coordinate an edge came from.  Capacities and lengths are nonnegative
-exact rationals, ``int`` or ``fractions.Fraction``, and sums start from the
-integer 0, so integer weights (the separators pass numerators over one
-common scale) never become ``Fraction`` objects.  Results follow the input
-type.
+Both kernels take one graph type: undirected, parallel edges allowed, and
+every edge carries an opaque ``tag`` so callers can recover which
+constraint or coordinate an edge came from.  An edge's weight is its
+capacity for ``min_cut`` and its length for ``shortest_path``.  Weights
+are nonnegative exact rationals, ``int`` or ``fractions.Fraction``, and
+sums start from the integer 0, so integer weights (the separators pass
+numerators over one common scale) never become ``Fraction`` objects.
+Results follow the input type.
 
 ``min_cut`` runs augmenting-path max-flow (shortest augmenting paths, each
 undirected edge modelled as an opposing arc pair) and returns the source
@@ -32,22 +33,14 @@ class GraphError(ZeroHalfError):
 
 
 @dataclass(frozen=True)
-class FlowEdge:
+class Edge:
     u: Hashable
     v: Hashable
-    capacity: Rational
+    weight: Rational
     tag: Hashable = None
 
 
-@dataclass(frozen=True)
-class LengthEdge:
-    u: Hashable
-    v: Hashable
-    length: Rational
-    tag: Hashable = None
-
-
-def _check_edges(nodes: Sequence[Hashable], edges, weight_attr: str):
+def _check_edges(nodes: Sequence[Hashable], edges: Sequence[Edge]):
     node_set = set(nodes)
     if len(node_set) != len(nodes):
         raise GraphError("duplicate node")
@@ -56,22 +49,15 @@ def _check_edges(nodes: Sequence[Hashable], edges, weight_attr: str):
             raise GraphError(f"self-loop at {e.u!r}")
         if e.u not in node_set or e.v not in node_set:
             raise GraphError(f"edge {e.u!r}-{e.v!r} has an unknown endpoint")
-        if getattr(e, weight_attr) < 0:
-            raise GraphError(f"negative {weight_attr} on edge {e.u!r}-{e.v!r}")
+        if e.weight < 0:
+            raise GraphError(f"negative weight on edge {e.u!r}-{e.v!r}")
 
 
-class CapacitatedGraph:
-    def __init__(self, nodes: Iterable[Hashable], edges: Iterable[FlowEdge]):
+class Graph:
+    def __init__(self, nodes: Iterable[Hashable], edges: Iterable[Edge]):
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
-        _check_edges(self.nodes, self.edges, "capacity")
-
-
-class LengthGraph:
-    def __init__(self, nodes: Iterable[Hashable], edges: Iterable[LengthEdge]):
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
-        _check_edges(self.nodes, self.edges, "length")
+        _check_edges(self.nodes, self.edges)
 
 
 @dataclass(frozen=True)
@@ -80,7 +66,7 @@ class MinCutResult:
     source_side: frozenset
 
 
-def min_cut(graph: CapacitatedGraph, s: Hashable, t: Hashable) -> MinCutResult:
+def min_cut(graph: Graph, s: Hashable, t: Hashable) -> MinCutResult:
     """Minimum s-t cut value and its source side.
 
     A disconnected pair yields value 0 with the source component as the
@@ -100,10 +86,10 @@ def min_cut(graph: CapacitatedGraph, s: Hashable, t: Hashable) -> MinCutResult:
         ui, vi = index[e.u], index[e.v]
         adjacency[ui].append(len(arc_to))
         arc_to.append(vi)
-        residual.append(e.capacity)
+        residual.append(e.weight)
         adjacency[vi].append(len(arc_to))
         arc_to.append(ui)
-        residual.append(e.capacity)
+        residual.append(e.weight)
 
     si, ti = index[s], index[t]
     flow = 0
@@ -150,7 +136,7 @@ def min_cut(graph: CapacitatedGraph, s: Hashable, t: Hashable) -> MinCutResult:
                 queue.append(v)
     side = frozenset(v for v, i in index.items() if reached[i])
 
-    crossing = sum([e.capacity for e in graph.edges if (e.u in side) != (e.v in side)])
+    crossing = sum([e.weight for e in graph.edges if (e.u in side) != (e.v in side)])
     if crossing != flow:
         raise InternalConsistencyError(
             f"cut capacity {crossing} does not match flow value {flow}"
@@ -161,11 +147,11 @@ def min_cut(graph: CapacitatedGraph, s: Hashable, t: Hashable) -> MinCutResult:
 @dataclass(frozen=True)
 class PathResult:
     length: Rational
-    edges: tuple[LengthEdge, ...]
+    edges: tuple[Edge, ...]
 
 
 def shortest_path(
-    graph: LengthGraph,
+    graph: Graph,
     s: Hashable,
     t: Hashable,
     forbidden_tag: Hashable = None,
@@ -181,7 +167,7 @@ def shortest_path(
         return PathResult(0, ())
 
     index = {v: i for i, v in enumerate(graph.nodes)}
-    adjacency: list[list[tuple[int, LengthEdge]]] = [[] for _ in graph.nodes]
+    adjacency: list[list[tuple[int, Edge]]] = [[] for _ in graph.nodes]
     for e in graph.edges:
         if forbidden_tag is not None and e.tag == forbidden_tag:
             continue
@@ -189,7 +175,7 @@ def shortest_path(
         adjacency[index[e.v]].append((index[e.u], e))
 
     dist: list[Rational | None] = [None] * len(graph.nodes)
-    via: list[tuple[int, LengthEdge] | None] = [None] * len(graph.nodes)
+    via: list[tuple[int, Edge] | None] = [None] * len(graph.nodes)
     si, ti = index[s], index[t]
     dist[si] = 0
     heap: list[tuple[Rational, int]] = [(0, si)]
@@ -202,7 +188,7 @@ def shortest_path(
         if u == ti:
             break
         for v, e in adjacency[u]:
-            nd = d + e.length
+            nd = d + e.weight
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 via[v] = (u, e)

@@ -2,11 +2,11 @@
 
 Applicable when every row of A has at most two odd entries.  The parity
 graph has one node per coordinate plus a terminal node: every tight row
-becomes an edge joining its odd coordinates (running to the terminal when
-only one entry is odd, vanishing when none is), with length equal to the
-row's slack at xstar, and every coordinate whose xhat-tight bound row is
-part of the instance gets an edge to the terminal with the cost of that
-bound row at xstar.
+becomes an edge joining its odd coordinates, as listed in ``ctx.parity``
+(running to the terminal when only one entry is odd, vanishing when none
+is), with length equal to the row's slack at xstar, and every coordinate
+whose xhat-tight bound row is part of the instance gets an edge to the
+terminal with the cost of that bound row at xstar.
 
 Walking an edge path toggles coordinate parities only at the endpoints:
 interior coordinates are touched by two odd entries and stay even, and
@@ -40,9 +40,9 @@ from .core import (
     SeparationContext,
     SeparationResult,
     accept_cut,
-    parity_profile,
+    selection_multipliers,
 )
-from .graphs import LengthEdge, LengthGraph, shortest_path
+from .graphs import Edge, Graph, shortest_path
 
 _TERM = -1  # terminal node; coordinates are >= 0
 
@@ -57,76 +57,49 @@ class RowCandidate:
     terminals: tuple[int, ...]  # path endpoints; empty when no path is needed
 
 
-def build_parity_graph(ctx: SeparationContext) -> LengthGraph:
-    inst = ctx.instance
+def _ends(odd: tuple[int, ...]) -> tuple[int, ...]:
+    """Path ends for a row's odd coordinates: a lone one pairs with the terminal."""
+    return odd + (_TERM,) if len(odd) == 1 else odd
+
+
+def build_parity_graph(ctx: SeparationContext) -> Graph:
     edges = []
     for e in sorted(ctx.tight_rows):
-        odd = [i for i in range(inst.n) if inst.A[e][i] % 2]
-        if len(odd) == 2:
-            edges.append(LengthEdge(odd[0], odd[1], ctx.slack_star[e], ("row", e)))
-        elif len(odd) == 1:
-            edges.append(LengthEdge(odd[0], _TERM, ctx.slack_star[e], ("row", e)))
-    for i in range(inst.n):
-        cost = ctx.tight_bound_cost[i]
+        ends = _ends(ctx.parity.row_odd_columns[e])
+        if len(ends) == 2:
+            edges.append(Edge(*ends, ctx.slack_star[e], ("row", e)))
+    for i, cost in enumerate(ctx.tight_bound_cost):
         if cost is not None:
-            edges.append(LengthEdge(i, _TERM, cost, ("box", i)))
-    return LengthGraph(tuple(range(inst.n)) + (_TERM,), tuple(edges))
+            edges.append(Edge(i, _TERM, cost, ("box", i)))
+    return Graph(tuple(range(ctx.instance.n)) + (_TERM,), edges)
 
 
 def enumerate_row_candidates(ctx: SeparationContext) -> list[RowCandidate]:
-    inst = ctx.instance
     out = []
     for j in sorted(ctx.slack_one_rows):
-        odd = tuple([i for i in range(inst.n) if inst.A[j][i] % 2])
-        if len(odd) == 2:
-            terminals = odd
-        elif len(odd) == 1:
-            terminals = (odd[0], _TERM)
-        else:
-            terminals = ()
-        out.append(RowCandidate("row", j, ctx.slack_star[j], terminals))
-    for i in range(inst.n):
+        ends = _ends(ctx.parity.row_odd_columns[j])
+        out.append(RowCandidate("row", j, ctx.slack_star[j], ends))
+    for i in range(ctx.instance.n):
         fixed = ctx.slack_bound_cost[i]
         if fixed is not None:
             out.append(RowCandidate("box", i, fixed, (i, _TERM)))
     return out
 
 
-def multipliers_from_path(
-    ctx: SeparationContext,
-    cand: RowCandidate,
-    path_edges,
-) -> Multipliers:
+def multipliers_from_path(ctx: SeparationContext, cand: RowCandidate, path_edges) -> Multipliers:
     """Assemble multipliers from a carrier and the edges of its path."""
-    lam, down, up = set(), set(), set()
-
-    def flip_bound(i: int, slack_side: bool) -> None:
-        if i in down or i in up:
-            raise InternalConsistencyError(
-                f"both bound rows of coordinate {i} selected"
-            )
-        if ctx.xhat[i] == 0:
-            (up if slack_side else down).add(i)
-        elif ctx.xhat[i] == 1:
-            (down if slack_side else up).add(i)
-        else:
-            raise InternalConsistencyError(
-                f"coordinate {i} has no usable bound row"
-            )
-
-    if cand.kind == "row":
-        lam.add(cand.index)
-    else:
-        flip_bound(cand.index, slack_side=True)
+    rows = [cand.index] if cand.kind == "row" else []
+    repaired = []
     for e in path_edges:
         kind, idx = e.tag
-        if kind == "row":
-            if idx in lam:
-                raise InternalConsistencyError(f"row {idx} used twice on the path")
-            lam.add(idx)
+        if kind == "box":
+            repaired.append(idx)
+        elif idx in rows:
+            raise InternalConsistencyError(f"row {idx} used twice on the path")
         else:
-            flip_bound(idx, slack_side=False)
-    return Multipliers.from_support(ctx.instance.m, ctx.instance.n, lam, down, up)
+            rows.append(idx)
+    carrier = cand.index if cand.kind == "box" else None
+    return selection_multipliers(ctx, rows, repaired, carrier)
 
 
 def primal_separate_row(ctx: SeparationContext) -> SeparationResult:
@@ -136,7 +109,7 @@ def primal_separate_row(ctx: SeparationContext) -> SeparationResult:
     m + n in total.  Ties on the violation keep the earliest candidate
     (slack rows in index order, then coordinates in index order).
     """
-    if not parity_profile(ctx.instance).row_method_ok:
+    if not ctx.parity.row_method_ok:
         raise MethodNotApplicableError("a row of A has more than two odd entries")
     graph = build_parity_graph(ctx)
     best: tuple[int, Cut, Fraction] | None = None

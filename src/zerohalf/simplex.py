@@ -130,10 +130,9 @@ def lp_solve(
     rhs: Sequence,
     objective: Sequence,
     *,
-    maximize: bool = True,
     nonneg: bool = False,
 ) -> LpResult:
-    """Optimize ``objective . x`` subject to ``rows[j] . x <= rhs[j]``."""
+    """Maximize ``objective . x`` subject to ``rows[j] . x <= rhs[j]``."""
     n = len(objective)
     if any(len(row) != n for row in rows):
         raise ValueError("row length does not match objective length")
@@ -141,10 +140,8 @@ def lp_solve(
     # a[j] = row j and rhs j scaled to integers by s_j > 0
     scaled = [_integer_row(list(rows[j]) + [rhs[j]]) for j in range(m)]
     a = [row for row, _ in scaled]
-    # internally always maximize cprime, scaled to integers by cscale > 0
+    # maximize cprime, the objective scaled to integers by cscale > 0
     cprime, cscale = _integer_row(objective)
-    if not maximize:
-        cprime = [-c for c in cprime]
 
     struct = n if nonneg else 2 * n
     width = struct + m
@@ -217,7 +214,7 @@ def lp_solve(
     _certify(a, cprime, nonneg, obj, struct, den, xnum)
     vprime = Fraction(-obj[-1], den * cscale)
     point = tuple([Fraction(v, den) for v in xnum])
-    return LpResult(LpStatus.OPTIMAL, vprime if maximize else -vprime, point)
+    return LpResult(LpStatus.OPTIMAL, vprime, point)
 
 
 def solve_relaxation(

@@ -1,0 +1,123 @@
+"""Reference cut-graph builder for differential tests: the former colsep code.
+
+These are the ``enumerate_col_candidates``, ``build_cut_graph`` and
+``extract_multipliers`` that ``zerohalf.colsep`` ran before the odd
+positions of A moved into ``SeparationContext.parity``.  They rescan A for
+the odd committed rows of every column, and treat a box candidate's own
+coordinate by a branch of its own: the other odd row of that column (the
+partner) is pinned to the sink when the coordinate cannot be repaired,
+else joined to the sink by a ``("partner", i)`` edge at the repair cost.
+Bound rows are chosen by per-coordinate down/up branches.  The builder
+returns the package's ``Graph`` and ``CutGraphInfo``, so the package must
+list the same candidates and give each the same collapsed flag,
+minimum-cut value, selected rows and multipliers.  Kept only as a test
+oracle; nothing in the package imports it.
+"""
+
+from __future__ import annotations
+
+from zerohalf.colsep import _SINK, ColCandidate, CutGraphInfo, _UnionFind
+from zerohalf.core import InternalConsistencyError, Multipliers, SeparationContext
+from zerohalf.graphs import Edge, Graph
+
+
+def enumerate_col_candidates(ctx: SeparationContext) -> list[ColCandidate]:
+    out = [ColCandidate("row", j, None, 0) for j in sorted(ctx.slack_one_rows)]
+    tight = sorted(ctx.tight_rows)
+    for i in range(ctx.instance.n):
+        fixed = ctx.slack_bound_cost[i]
+        if fixed is None:
+            continue
+        for v in tight:
+            if ctx.instance.A[v][i] % 2:
+                out.append(ColCandidate("box", v, i, fixed))
+    return out
+
+
+def build_cut_graph(ctx: SeparationContext, cand: ColCandidate) -> CutGraphInfo:
+    inst = ctx.instance
+    committed = set(ctx.tight_rows)
+    if cand.kind == "row":
+        committed.add(cand.source_row)
+    committed = sorted(committed)
+
+    def odd_rows(i: int) -> list[int]:
+        return [v for v in committed if inst.A[v][i] % 2]
+
+    partner = None
+    if cand.coord is not None:
+        others = [v for v in odd_rows(cand.coord) if v != cand.source_row]
+        if others:
+            partner = others[0]
+
+    uf = _UnionFind(committed + [_SINK])
+    for i in range(inst.n):
+        if ctx.tight_bound_cost[i] is not None:
+            continue
+        if i == cand.coord:
+            if partner is not None:
+                uf.union(partner, _SINK)
+            continue
+        odd = odd_rows(i)
+        if len(odd) == 2:
+            uf.union(odd[0], odd[1])
+        elif len(odd) == 1:
+            uf.union(odd[0], _SINK)
+
+    sink = uf.find(_SINK)
+    source = uf.find(cand.source_row)
+    if source == sink:
+        return CutGraphInfo(cand, True, None, None, None, {})
+
+    edges = []
+    for v in committed:
+        root = uf.find(v)
+        if root != sink:
+            edges.append(Edge(root, sink, ctx.slack_star[v], ("slack", v)))
+    for i in range(inst.n):
+        cap = ctx.tight_bound_cost[i]
+        if cap is None:
+            continue
+        if i == cand.coord:
+            if partner is not None and uf.find(partner) != sink:
+                edges.append(Edge(uf.find(partner), sink, cap, ("partner", i)))
+            continue
+        odd = odd_rows(i)
+        if len(odd) == 2:
+            a, b = uf.find(odd[0]), uf.find(odd[1])
+            if a != b:
+                edges.append(Edge(a, b, cap, ("col", i)))
+        elif len(odd) == 1:
+            a = uf.find(odd[0])
+            if a != sink:
+                edges.append(Edge(a, sink, cap, ("col", i)))
+
+    members: dict[int, list[int]] = {}
+    for v in committed:
+        members.setdefault(uf.find(v), []).append(v)
+    nodes = sorted(members) + ([sink] if sink not in members else [])
+    return CutGraphInfo(
+        cand, False, Graph(nodes, edges), source, sink,
+        {node: tuple(rows) for node, rows in members.items()},
+    )
+
+
+def extract_multipliers(ctx: SeparationContext, info: CutGraphInfo, source_side) -> Multipliers:
+    inst = ctx.instance
+    rows = sorted(
+        r for node in source_side if node in info.members for r in info.members[node]
+    )
+    down, up = [], []
+    for i in range(inst.n):
+        odd = sum(inst.A[r][i] for r in rows) % 2
+        if i == info.candidate.coord:
+            if not odd:
+                raise InternalConsistencyError("slack bound coordinate lost its odd row")
+            (up if ctx.xhat[i] == 0 else down).append(i)
+        elif odd:
+            if ctx.tight_bound_cost[i] is None:
+                raise InternalConsistencyError(
+                    f"odd coordinate {i} has no bound row to repair it"
+                )
+            (down if ctx.xhat[i] == 0 else up).append(i)
+    return Multipliers.from_support(inst.m, inst.n, rows, down, up)

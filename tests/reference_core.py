@@ -8,7 +8,8 @@ multipliers were scaled to integer numerators.  Every sum here is a sum of
 ``Fraction`` objects, row by row, so the package must return the same cut,
 slack, context or exception (type and message) on every input; the context
 is computed in ``Fraction``s and only its costs at xstar are multiplied by
-the lcm of xstar's denominators at the end.  Kept only as a test oracle;
+the lcm of xstar's denominators at the end, and its odd positions of A
+come from the package's ``parity_profile``.  Kept only as a test oracle;
 nothing in the package imports it.
 """
 
@@ -31,6 +32,7 @@ from zerohalf.core import (
     _check_bound_usage,
     as_point,
     is_integral,
+    parity_profile,
 )
 
 
@@ -86,7 +88,7 @@ def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> S
 
     return SeparationContext(
         instance, xhat, xstar, slack_hat, scaled(slack_star), scale,
-        ones, tight, scaled(tight_cost), scaled(slack_cost),
+        ones, tight, scaled(tight_cost), scaled(slack_cost), parity_profile(instance),
     )
 
 

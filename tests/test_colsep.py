@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,11 @@ from zerohalf.core import (
     is_tight_nontrivial,
     violation,
 )
+from zerohalf.generate import gen_primal_case
+from zerohalf.graphs import min_cut
 from zerohalf.oracle import brute_primal_separate
+
+import reference_colsep
 
 HALF = Fraction(1, 2)
 
@@ -67,11 +72,11 @@ class TestGraphShape:
         assert info.source == 2 and info.sink == -1
         assert info.members == {0: (0,), 1: (1,), 2: (2,)}
         slack_edges = {
-            (e.u, e.capacity) for e in info.graph.edges if e.tag[0] == "slack"
+            (e.u, e.weight) for e in info.graph.edges if e.tag[0] == "slack"
         }
         assert slack_edges == {(0, Fraction(0)), (1, Fraction(0)), (2, Fraction(0))}
         col_edges = {
-            (frozenset((e.u, e.v)), e.tag[1], e.capacity)
+            (frozenset((e.u, e.v)), e.tag[1], e.weight)
             for e in info.graph.edges
             if e.tag[0] == "col"
         }
@@ -159,7 +164,7 @@ def crossing_capacity(graph, side):
     total = Fraction(0)
     for e in graph.edges:
         if (e.u in side) != (e.v in side):
-            total += e.capacity
+            total += e.weight
     return total
 
 
@@ -177,7 +182,7 @@ class TestCostIdentity:
             for r in range(len(others) + 1):
                 for extra in itertools.combinations(others, r):
                     side = frozenset((info.source,) + extra)
-                    cost = info.fixed_cost + crossing_capacity(info.graph, side)
+                    cost = cand.fixed_cost + crossing_capacity(info.graph, side)
                     try:
                         mult = extract_multipliers(ctx, info, side)
                     except InternalConsistencyError:
@@ -249,3 +254,64 @@ class TestOracleAgreement:
             assert violation(res.cut, xstar) == res.violation
             assert is_tight_nontrivial(ctx, res.cut.provenance)
         assert found >= 15
+
+
+def _selected_rows(info, side):
+    return sorted(r for node in side if node in info.members for r in info.members[node])
+
+
+def _multipliers_or_error(extract, ctx, info, side):
+    try:
+        return extract(ctx, info, side)
+    except InternalConsistencyError:
+        return InternalConsistencyError
+
+
+class TestAgainstReference:
+    """The one-rule builder matches the former per-column scan with its
+    separate partner branch, candidate by candidate."""
+
+    def test_col2_cases_match_the_former_builder(self, triangle):
+        rng = random.Random("colsep/reference-builder")
+        cases = [(triangle, (1, 0, 0), (HALF, HALF, HALF))]
+        for _ in range(440):
+            case = gen_primal_case(rng, profile="col2")
+            cases.append((case.instance, case.xhat, case.xstar))
+        seen = Counter()
+        for inst, xhat, xstar in cases:
+            ctx = compute_context(inst, xhat, xstar)
+            cands = enumerate_col_candidates(ctx)
+            assert cands == reference_colsep.enumerate_col_candidates(ctx)
+            for cand in cands:
+                got = build_cut_graph(ctx, cand)
+                ref = reference_colsep.build_cut_graph(ctx, cand)
+                seen["candidates"] += 1
+                if cand.kind == "box" and ctx.tight_bound_cost[cand.coord] is None:
+                    odd = [v for v in ctx.parity.column_odd_rows[cand.coord] if v in ctx.tight_rows]
+                    seen["partner pinned"] += len(odd) == 2
+                assert got.collapsed == ref.collapsed
+                if got.collapsed:
+                    seen["collapsed"] += 1
+                    continue
+                assert (got.source, got.sink, got.members) == (ref.source, ref.sink, ref.members)
+                partner = [e.tag for e in ref.graph.edges if e.tag[0] == "partner"]
+                seen["partner edges"] += len(partner)
+                assert got.graph.nodes == ref.graph.nodes
+                assert [(e.u, e.v, e.weight, e.tag) for e in got.graph.edges] == [
+                    (e.u, e.v, e.weight, ("col", e.tag[1]) if e.tag in partner else e.tag)
+                    for e in ref.graph.edges
+                ]
+                got_cut = min_cut(got.graph, got.source, got.sink)
+                ref_cut = min_cut(ref.graph, ref.source, ref.sink)
+                assert got_cut.value == ref_cut.value
+                side, ref_side = got_cut.source_side, ref_cut.source_side
+                assert _selected_rows(got, side) == _selected_rows(ref, ref_side)
+                mult = _multipliers_or_error(extract_multipliers, ctx, got, side)
+                seen["rejected selections"] += mult is InternalConsistencyError
+                assert mult == _multipliers_or_error(
+                    reference_colsep.extract_multipliers, ctx, ref, ref_side
+                )
+        # both special branches of the former builder are exercised
+        assert seen["candidates"] >= 1400 and seen["collapsed"] >= 100
+        assert seen["partner edges"] >= 100 and seen["partner pinned"] >= 20
+        assert seen["rejected selections"] >= 1

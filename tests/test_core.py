@@ -7,6 +7,7 @@ from zerohalf.core import (
     DimensionMismatchError,
     IlpInstance,
     InfeasiblePointError,
+    InternalConsistencyError,
     Multipliers,
     MultiplierError,
     NonIntegralCutError,
@@ -17,6 +18,7 @@ from zerohalf.core import (
     extended_slack,
     is_tight_nontrivial,
     parity_profile,
+    selection_multipliers,
     unfloored_rhs,
     violation,
 )
@@ -99,6 +101,11 @@ class TestDeriveCut:
     def test_grid_violation_rejected(self):
         with pytest.raises(MultiplierError):
             Multipliers((Fraction(1, 3),), (Fraction(0),), (Fraction(0),), modulus=2)
+
+    @pytest.mark.parametrize("modulus", [2.0, "2", 1])
+    def test_modulus_must_be_an_integer_of_at_least_two(self, modulus):
+        with pytest.raises(MultiplierError, match="modulus"):
+            Multipliers((HALF,), (0,), (0,), modulus)
 
 
 class TestTightNontrivial:
@@ -194,7 +201,44 @@ class TestValidity:
                         assert violation(cut, as_point(p)) <= 0
 
 
+class TestSelectionMultipliers:
+    """Bound rows by their slack at xhat = (1, 0, 0): the upper row of x0
+    and the lower row of x1 are tight, the other two have slack 1."""
+
+    def test_repaired_take_the_tight_row_and_the_carrier_the_slack_one(self, triangle):
+        ctx = compute_context(triangle, (1, 0, 0), (HALF, HALF, HALF))
+        mult = selection_multipliers(ctx, [2], [0], carrier=1)
+        assert mult == Multipliers((0, 0, HALF), (0, 0, 0), (HALF, HALF, 0))
+        mult = selection_multipliers(ctx, [0], [1], carrier=0)
+        assert mult == Multipliers((HALF, 0, 0), (HALF, HALF, 0), (0, 0, 0))
+        assert selection_multipliers(ctx, [0, 1], []) == Multipliers((HALF, HALF, 0), (0,) * 3, (0,) * 3)
+
+    @pytest.mark.parametrize("repaired, carrier", [([1, 1], None), ([1], 1), ([2], None), ([], 2)])
+    def test_coordinate_named_twice_or_without_that_row(self, repaired, carrier):
+        # x2 has no bound rows at all
+        inst = IlpInstance(((1, 1, 1),), (1,), (True, True, False), (True, True, False))
+        ctx = compute_context(inst, (1, 0, 0), (HALF, HALF, 0))
+        with pytest.raises(InternalConsistencyError):
+            selection_multipliers(ctx, [0], repaired, carrier)
+
+
 class TestParityProfile:
+    def test_triangle_odd_positions(self, triangle):
+        prof = parity_profile(triangle)
+        assert prof.column_odd_rows == ((0, 1), (0, 2), (1, 2))
+        assert prof.row_odd_columns == ((0, 1), (0, 2), (1, 2))
+
+    def test_odd_positions_with_a_three_odd_column(self):
+        inst = IlpInstance(((1, 2, 3), (-1, 0, 2), (3, 1, 0)), (1, 1, 1), (True,) * 3, (True,) * 3)
+        prof = parity_profile(inst)
+        assert prof.column_odd_rows == ((0, 1, 2), (2,), (0,))
+        assert prof.row_odd_columns == ((0, 2), (0,), (0, 1))
+        assert prof.column_odd_counts == (3, 1, 1) and prof.row_odd_counts == (2, 1, 2)
+        assert not prof.column_method_ok and prof.row_method_ok
+
+    def test_context_carries_the_profile(self, triangle, triangle_points):
+        assert compute_context(triangle, *triangle_points).parity == parity_profile(triangle)
+
     def test_triangle_is_two_odd_everywhere(self, triangle):
         prof = parity_profile(triangle)
         assert prof.column_odd_counts == (2, 2, 2)

@@ -5,11 +5,9 @@ from fractions import Fraction
 import pytest
 
 from zerohalf.graphs import (
-    CapacitatedGraph,
-    FlowEdge,
+    Edge,
+    Graph,
     GraphError,
-    LengthEdge,
-    LengthGraph,
     min_cut,
     shortest_path,
 )
@@ -18,11 +16,11 @@ F = Fraction
 
 
 def capgraph(nodes, triples):
-    return CapacitatedGraph(nodes, [FlowEdge(u, v, F(c), tag) for u, v, c, tag in triples])
+    return Graph(nodes, [Edge(u, v, F(c), tag) for u, v, c, tag in triples])
 
 
 def lengraph(nodes, triples):
-    return LengthGraph(nodes, [LengthEdge(u, v, F(c), tag) for u, v, c, tag in triples])
+    return Graph(nodes, [Edge(u, v, F(c), tag) for u, v, c, tag in triples])
 
 
 class TestMinCut:
@@ -163,15 +161,15 @@ class TestScaleInvariance:
             ints = [int(w * scale) for w in weights]
             s, t = rng.sample(nodes, 2)
 
-            cut = min_cut(CapacitatedGraph(nodes, tagged(FlowEdge, ends, weights)), s, t)
-            scaled = min_cut(CapacitatedGraph(nodes, tagged(FlowEdge, ends, ints)), s, t)
+            cut = min_cut(Graph(nodes, tagged(Edge, ends, weights)), s, t)
+            scaled = min_cut(Graph(nodes, tagged(Edge, ends, ints)), s, t)
             assert type(scaled.value) is int
             assert scaled.value == cut.value * scale
             assert scaled.source_side == cut.source_side
 
             forbidden = rng.randrange(len(ends)) if ends and rng.random() < 0.5 else None
-            path = shortest_path(LengthGraph(nodes, tagged(LengthEdge, ends, weights)), s, t, forbidden)
-            scaled_path = shortest_path(LengthGraph(nodes, tagged(LengthEdge, ends, ints)), s, t, forbidden)
+            path = shortest_path(Graph(nodes, tagged(Edge, ends, weights)), s, t, forbidden)
+            scaled_path = shortest_path(Graph(nodes, tagged(Edge, ends, ints)), s, t, forbidden)
             if path is None:
                 assert scaled_path is None
                 continue

@@ -41,7 +41,7 @@ class TestParityGraph:
         assert ctx.scale == 2
         assert set(graph.nodes) == {0, 1, 2, TERM}
         rows = {
-            e.tag[1]: (frozenset((e.u, e.v)), e.length)
+            e.tag[1]: (frozenset((e.u, e.v)), e.weight)
             for e in graph.edges
             if e.tag[0] == "row"
         }
@@ -50,7 +50,7 @@ class TestParityGraph:
             1: (frozenset((0, 2)), Fraction(0)),
         }
         boxes = {
-            e.tag[1]: (frozenset((e.u, e.v)), e.length)
+            e.tag[1]: (frozenset((e.u, e.v)), e.weight)
             for e in graph.edges
             if e.tag[0] == "box"
         }
@@ -217,7 +217,7 @@ class TestCostIdentity:
             forbidden = ("box", cand.index) if cand.kind == "box" else None
             for path in all_simple_paths(graph, *cand.terminals, forbidden):
                 mult = multipliers_from_path(ctx, cand, path)
-                cost = cand.fixed_cost + sum(e.length for e in path)
+                cost = cand.fixed_cost + sum(e.weight for e in path)
                 assert cost == 2 * ctx.scale * extended_slack(triangle, mult, ctx.xstar)
                 assert is_tight_nontrivial(ctx, mult)
                 checked += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -29,8 +30,9 @@ class TestBasics:
         assert r.status is LpStatus.INFEASIBLE
 
     def test_minimization(self):
-        r = lp_solve([[1], [-1]], [5, 3], [1], maximize=False)
-        assert r.value == -3
+        # minimize x: maximize -x and negate the value
+        r = lp_solve([[1], [-1]], [5, 3], [-1])
+        assert -r.value == -3
         assert r.point == (F(-3),)
 
     def test_free_variables_go_negative(self):
@@ -188,6 +190,14 @@ def _random_lp(rng: random.Random):
     return rows, rhs, c, rng.random() < 0.5, rng.random() < 0.4
 
 
+def solve(rows, rhs, c, maximize, **kwargs):
+    """lp_solve maximizes; a minimization passes -c and negates the value."""
+    if maximize:
+        return lp_solve(rows, rhs, c, **kwargs)
+    r = lp_solve(rows, rhs, [-v for v in c], **kwargs)
+    return r if r.value is None else dataclasses.replace(r, value=-r.value)
+
+
 class TestAgainstReference:
     """The integer tableau follows the Fraction tableau pivot for pivot."""
 
@@ -196,7 +206,7 @@ class TestAgainstReference:
         seen = set()
         for trial in range(400):
             rows, rhs, c, maximize, nonneg = _random_lp(rng)
-            got = lp_solve(rows, rhs, c, maximize=maximize, nonneg=nonneg)
+            got = solve(rows, rhs, c, maximize, nonneg=nonneg)
             ref = reference_lp_solve(rows, rhs, c, maximize=maximize, nonneg=nonneg)
             assert (got.status, got.value, got.point) == (ref.status, ref.value, ref.point), (
                 f"trial {trial}: {rows} {rhs} {c} max={maximize} nonneg={nonneg}"
@@ -221,7 +231,7 @@ class TestAgainstReference:
         # Tied optima where a phase-1 cost of -1 on every scaled artificial
         # (instead of -L/s_j) takes another pivot path to another vertex.
         rows = rows + [[int(i == k) for i in range(4)] for k in range(4)]
-        got = lp_solve(rows, rhs + upper, c, maximize=maximize, nonneg=True)
+        got = solve(rows, rhs + upper, c, maximize, nonneg=True)
         ref = reference_lp_solve(rows, rhs + upper, c, maximize=maximize, nonneg=True)
         assert got.status is LpStatus.OPTIMAL
         assert (got.value, got.point) == (ref.value, ref.point)
