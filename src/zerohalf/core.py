@@ -507,32 +507,6 @@ def violation(cut: Cut, xstar: Sequence[Fraction]) -> Fraction:
     return lhs - cut.rhs
 
 
-def box_rows(
-    lower_present: Sequence[bool], upper_present: Sequence[bool]
-) -> tuple[list[list[int]], list[int]]:
-    """The present bound rows as explicit inequality rows.
-
-    Lower bounds become ``-x_i <= 0`` and upper bounds ``x_i <= 1``, in
-    coordinate order with the lower row first.  Used wherever the bound
-    rows have to enter a linear program alongside A.
-    """
-    n = len(lower_present)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for i in range(n):
-        if lower_present[i]:
-            row = [0] * n
-            row[i] = -1
-            rows.append(row)
-            rhs.append(0)
-        if upper_present[i]:
-            row = [0] * n
-            row[i] = 1
-            rows.append(row)
-            rhs.append(1)
-    return rows, rhs
-
-
 def objective_of(
     instance: IlpInstance, objective: Sequence | None = None, nonnegative: bool = False
 ) -> tuple:

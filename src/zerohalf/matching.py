@@ -229,7 +229,7 @@ def solve_matching(
     cuts: list[Cut] = []
     while True:
         res = solve_relaxation(
-            inst.A, inst.b, inst.lower_present, inst.upper_present, cuts, weights, nonneg=True
+            inst.A, inst.b, inst.lower_present, inst.upper_present, cuts, weights
         )
         counters.lp_solves += 1
         current = sum(w * x for w, x in zip(weights, xhat))

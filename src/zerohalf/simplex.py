@@ -1,11 +1,24 @@
 """Exact rational LP solver.
 
 Dense two-phase simplex with Bland's pivot rule, so termination needs no
-tolerances and results are deterministic.  Only ``a . x <= rhs``
-constraints are accepted; callers encode lower bounds and equations as
-inequality pairs.  Variables are free by default and split into positive
-and negative parts internally; ``nonneg=True`` skips the split for callers
-whose constraint set already implies ``x >= 0``.
+tolerances and results are deterministic.  Constraints are ``a . x <= rhs``
+rows plus the 0/1 box, given per coordinate by the flags ``lower_present``
+(``0 <= x_i``) and ``upper_present`` (``x_i <= 1``) as ``IlpInstance``
+names them; callers encode equations as inequality pairs.  The box takes no
+row: a coordinate with its lower bound is one nonnegative column, one
+without it is split into ``x+ - x-``, and an upper bound sits on ``x+``
+alone, which is exactly ``x <= 1``.
+
+Upper bounds are handled by the bounded-variable ratio test (Chvátal 1983,
+*Linear Programming*, ch. 8).  Each column is kept in its current
+orientation, ``x_j`` or ``1 - x_j``, so every nonbasic variable sits at 0.
+The entering variable either pivots in, moves a basic variable to its
+lower bound, or (when its own bound of 1 is strictly the shortest step)
+flips: its column is negated in every row and ``T[i][j]`` is subtracted
+from each right-hand side.  A basic variable that leaves at its upper bound
+has its row complemented first, so the pivot is an ordinary one.  Bland's
+rule picks the smallest improving oriented column, and row ties go to the
+smallest basis index.
 
 The tableau holds Python integers over one common denominator ``D``, the
 absolute determinant of the current basis (integer-preserving pivoting,
@@ -19,9 +32,10 @@ every other row (the objective row included) to
 ``p`` becomes the new ``D``.  Fractions are built only for the returned
 value and point.
 
-Every optimal solve is certified before returning: the simplex multipliers
-are read off the final reduced costs and checked, in integers, as an exact
-feasible dual with matching objective value.  A failed certificate raises
+Every optimal solve is certified before returning: the row multipliers and
+the bound duals of the flipped columns are read off the final reduced costs
+and checked, in integers, as an exact feasible dual whose value equals that
+of the returned point.  A failed certificate raises
 InternalConsistencyError since it can only mean a solver bug.
 """
 
@@ -38,7 +52,6 @@ from .core import (
     InternalConsistencyError,
     LpInfeasibleError,
     LpUnboundedError,
-    box_rows,
 )
 
 
@@ -96,8 +109,22 @@ def _price(tab: list[list[int]], basis: list[int], den: int, cost: list[int]) ->
     return obj
 
 
-def _run_simplex(tab, basis, den: int, obj, allowed) -> tuple[bool, int]:
-    """Bland pivoting until optimal (True) or unbounded (False); returns the final D too."""
+def _flip(tab: list[list[int]], obj: list[int], col: int) -> None:
+    """Substitute ``1 - x`` for the nonbasic variable of ``col`` in every row."""
+    for row in tab + [obj]:
+        v = row[col]
+        if v:
+            row[col] = -v
+            row[-1] -= v
+
+
+def _run_simplex(tab, basis, den: int, obj, allowed, has_upper, flipped) -> tuple[bool, int]:
+    """Bland pivoting until optimal (True) or unbounded (False); returns the final D too.
+
+    ``has_upper[j]`` marks the columns with an upper bound of 1 and
+    ``flipped[j]`` those currently written as ``1 - x_j``; both flips and
+    complemented rows update ``flipped`` in place.
+    """
     width = len(obj) - 1
     while True:
         enter = -1
@@ -107,21 +134,41 @@ def _run_simplex(tab, basis, den: int, obj, allowed) -> tuple[bool, int]:
                 break
         if enter < 0:
             return True, den
+        # ratio best_num / best_den of the shortest step, compared by
+        # cross-multiplication; a row whose basic variable would rise
+        # leaves at its upper bound after (D - rhs) / -a
         leave = -1
         best_num = best_den = 0
         for r, row in enumerate(tab):
             a = row[enter]
             if a > 0:
-                if leave < 0:
-                    best_num, best_den, leave = row[-1], a, r
-                    continue
-                # ratios row[-1] / a compared by cross-multiplication
-                lhs = row[-1] * best_den
-                rhs = best_num * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    best_num, best_den, leave = row[-1], a, r
+                num, step = row[-1], a
+            elif a < 0 and has_upper[basis[r]]:
+                num, step = den - row[-1], -a
+            else:
+                continue
+            if leave < 0:
+                best_num, best_den, leave = num, step, r
+                continue
+            lhs = num * best_den
+            rhs = best_num * step
+            if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                best_num, best_den, leave = num, step, r
+        if has_upper[enter] and (leave < 0 or best_den < best_num):
+            # the entering variable reaches its own bound of 1 first
+            _flip(tab, obj, enter)
+            flipped[enter] = not flipped[enter]
+            continue
         if leave < 0:
             return False, den
+        row = tab[leave]
+        if row[enter] < 0:
+            # complement the row of the basic variable leaving at its upper bound
+            out = basis[leave]
+            row[:] = [-v for v in row]
+            row[out] = den
+            row[-1] += den
+            flipped[out] = not flipped[out]
         den = _pivot(tab, basis, den, leave, enter, obj)
 
 
@@ -130,20 +177,36 @@ def lp_solve(
     rhs: Sequence,
     objective: Sequence,
     *,
-    nonneg: bool = False,
+    lower_present: Sequence[bool] | None = None,
+    upper_present: Sequence[bool] | None = None,
 ) -> LpResult:
-    """Maximize ``objective . x`` subject to ``rows[j] . x <= rhs[j]``."""
+    """Maximize ``objective . x`` subject to ``rows[j] . x <= rhs[j]`` and the box.
+
+    ``lower_present[i]`` adds ``0 <= x_i`` and ``upper_present[i]`` adds
+    ``x_i <= 1``; an omitted flag sequence means no such bound anywhere.
+    Raises ValueError when ``rhs``, a row or a flag sequence does not match
+    the number of rows or coordinates.
+    """
     n = len(objective)
     if any(len(row) != n for row in rows):
         raise ValueError("row length does not match objective length")
     m = len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"rhs has {len(rhs)} entries for {m} rows")
+    lower = [False] * n if lower_present is None else [bool(v) for v in lower_present]
+    upper = [False] * n if upper_present is None else [bool(v) for v in upper_present]
+    if len(lower) != n or len(upper) != n:
+        raise ValueError("box flags do not match objective length")
     # a[j] = row j and rhs j scaled to integers by s_j > 0
     scaled = [_integer_row(list(rows[j]) + [rhs[j]]) for j in range(m)]
     a = [row for row, _ in scaled]
     # maximize cprime, the objective scaled to integers by cscale > 0
     cprime, cscale = _integer_row(objective)
 
-    struct = n if nonneg else 2 * n
+    # columns: x_i (x+_i for a free coordinate), then x-_i of the free
+    # coordinates, the slacks and the artificials
+    free = [i for i in range(n) if not lower[i]]
+    struct = n + len(free)
     width = struct + m
 
     negated = [a[j][-1] < 0 for j in range(m)]
@@ -152,9 +215,7 @@ def lp_solve(
 
     tab: list[list[int]] = []
     for j in range(m):
-        body = a[j][:n]
-        if not nonneg:
-            body += [-v for v in body]
+        body = a[j][:n] + [-a[j][i] for i in free]
         slack = [0] * m
         slack[j] = 1
         b = a[j][-1]
@@ -168,6 +229,8 @@ def lp_solve(
 
     basis = [width + art_rows.index(j) if negated[j] else struct + j for j in range(m)]
     allowed = [True] * total
+    has_upper = upper + [False] * (total - n)
+    flipped = [False] * total
     den = 1
 
     if art_rows:
@@ -179,7 +242,7 @@ def lp_solve(
         for k, j in enumerate(art_rows):
             cost1[width + k] = -(art_lcm // scaled[j][1])
         obj = _price(tab, basis, den, cost1)
-        bounded, den = _run_simplex(tab, basis, den, obj, allowed)
+        bounded, den = _run_simplex(tab, basis, den, obj, allowed, has_upper, flipped)
         if not bounded:
             raise InternalConsistencyError("phase 1 cannot be unbounded")
         if obj[-1] > 0:
@@ -196,22 +259,28 @@ def lp_solve(
         for k in range(len(art_rows)):
             allowed[width + k] = False
 
+    # the objective in the columns' current orientation: a flipped column
+    # 1 - x_j carries -c_j and moves c_j into the constant term
     cost2 = [0] * total
-    cost2[:n] = cprime
-    if not nonneg:
-        cost2[n:struct] = [-c for c in cprime]
+    cost2[:struct] = [-c if f else c for c, f in zip(cprime, flipped)] + [-cprime[i] for i in free]
     obj = _price(tab, basis, den, cost2)
-    bounded, den = _run_simplex(tab, basis, den, obj, allowed)
+    obj[-1] -= den * sum([c for c, f in zip(cprime, flipped) if f])
+    bounded, den = _run_simplex(tab, basis, den, obj, allowed, has_upper, flipped)
     if not bounded:
         return LpResult(LpStatus.UNBOUNDED)
 
+    # den times each structural variable, back in its own orientation
     assign = [0] * total
     for r, bcol in enumerate(basis):
         assign[bcol] = tab[r][-1]
-    # xnum = den * x
-    xnum = assign[:n] if nonneg else [assign[i] - assign[n + i] for i in range(n)]
+    values = [den - v if f else v for v, f in zip(assign[:struct], flipped)]
+    xnum = values[:n]
+    for k, i in enumerate(free):
+        xnum[i] -= values[n + k]
 
-    _certify(a, cprime, nonneg, obj, struct, den, xnum)
+    duals = [-obj[struct + j] for j in range(m)]
+    bound_duals = [-obj[i] if flipped[i] else 0 for i in range(n)]
+    _certify(a, cprime, lower, upper, duals, bound_duals, -obj[-1], den, xnum)
     vprime = Fraction(-obj[-1], den * cscale)
     point = tuple([Fraction(v, den) for v in xnum])
     return LpResult(LpStatus.OPTIMAL, vprime, point)
@@ -224,20 +293,18 @@ def solve_relaxation(
     upper_present: Sequence[bool],
     cuts: Sequence[Cut],
     objective: Sequence,
-    *,
-    nonneg: bool = False,
 ) -> LpResult:
-    """Maximize ``objective . x`` over ``A x <= b``, the present bound rows and the cuts.
+    """Maximize ``objective . x`` over ``A x <= b``, the present bounds and the cuts.
 
-    The rows are stacked in that order (the bound rows as ``core.box_rows``
-    writes them), which fixes Bland's pivot path.  Returns the optimal
-    result; an empty or unbounded relaxation raises LpInfeasibleError or
-    LpUnboundedError.
+    The rows of A and then the cuts are stacked in that order, which fixes
+    Bland's pivot path; the bounds go to ``lp_solve`` as its box.  Returns
+    the optimal result; an empty or unbounded relaxation raises
+    LpInfeasibleError or LpUnboundedError.
     """
-    brows, brhs = box_rows(lower_present, upper_present)
-    rows = [*A, *brows, *[c.coeffs for c in cuts]]
-    rhs = [*b, *brhs, *[c.rhs for c in cuts]]
-    res = lp_solve(rows, rhs, objective, nonneg=nonneg)
+    rows = [*A, *[c.coeffs for c in cuts]]
+    rhs = [*b, *[c.rhs for c in cuts]]
+    res = lp_solve(rows, rhs, objective, lower_present=lower_present,
+                   upper_present=upper_present)
     if res.status is LpStatus.INFEASIBLE:
         raise LpInfeasibleError("the relaxation is empty")
     if res.status is LpStatus.UNBOUNDED:
@@ -245,37 +312,40 @@ def solve_relaxation(
     return res
 
 
-def _certify(a, cprime, nonneg, obj, struct, den, xnum):
-    """Exact optimality certificate from the final reduced costs, in integers.
+def _certify(a, cprime, lower, upper, duals, bound_duals, value, den, xnum):
+    """Exact optimality certificate, in integers.
 
-    ``a`` holds the scaled rows with their right-hand sides last; ``obj``
-    and ``xnum`` are over the common denominator ``den``.  The multiplier
-    of row j is the negated reduced cost of its slack column, so
-    ``y = -obj[slack]`` is ``den`` times the dual of the scaled system; the
-    formula is unaffected by rows that were flipped for phase 1 because
-    flipping negates both the column and the multiplier.
+    ``a`` holds the scaled rows with their right-hand sides last; every
+    other argument is over the common denominator ``den``.  The multiplier
+    of row j is the negated reduced cost of its slack column, unaffected by
+    rows that were flipped for phase 1 because flipping negates both the
+    column and the multiplier.  The bound dual of ``x_i <= 1`` is the
+    negated reduced cost of a flipped column and 0 otherwise.  Checks dual
+    feasibility (``y, w >= 0``, ``yA + w >= c`` with equality on free
+    coordinates), that the dual value ``y.b + sum(w)`` and the point's value
+    both equal ``value``, and that the point satisfies the rows and the box.
     """
     n = len(cprime)
-    m = len(a)
-    duals = [-obj[struct + j] for j in range(m)]
     if any(y < 0 for y in duals):
         raise InternalConsistencyError("negative dual multiplier")
+    if any(w < 0 or (w and not up) for w, up in zip(bound_duals, upper)):
+        raise InternalConsistencyError("bound dual negative or on a missing bound")
     # y^T [A | b], accumulated over the rows with a nonzero multiplier
     ya = [0] * (n + 1)
     for y, row in zip(duals, a):
         if y:
             ya = [s + y * v for s, v in zip(ya, row)]
     for i in range(n):
-        target = den * cprime[i]
-        if nonneg:
-            if ya[i] < target:
-                raise InternalConsistencyError("dual constraint violated")
-        elif ya[i] != target:
-            raise InternalConsistencyError("dual equality violated")
-    if ya[n] != -obj[-1]:
+        reduced = ya[i] + bound_duals[i] - den * cprime[i]
+        if reduced < 0 or (reduced and not lower[i]):
+            raise InternalConsistencyError("dual constraint violated")
+    if ya[n] + sum(bound_duals) != value:
         raise InternalConsistencyError("duality gap in certificate")
+    if sum([c * x for c, x in zip(cprime, xnum)]) != value:
+        raise InternalConsistencyError("returned point does not attain the value")
     for row in a:
         if sum([v * x for v, x in zip(row, xnum)]) > den * row[-1]:
             raise InternalConsistencyError("returned point violates a row")
-    if nonneg and any(v < 0 for v in xnum):
-        raise InternalConsistencyError("returned point has a negative coordinate")
+    for x, low, up in zip(xnum, lower, upper):
+        if (low and x < 0) or (up and x > den):
+            raise InternalConsistencyError("returned point leaves the box")

@@ -5,6 +5,10 @@ pivoting over a common denominator.  It follows the same two phases and
 Bland's rule on the same tableau, so the package solver must return the
 same ``LpResult`` (status, value and point) on every input.  Kept only as a
 test oracle; nothing in the package imports it.
+
+It takes no box: ``box_rows`` writes the 0/1 bounds that the package solver
+handles natively as explicit rows, which is how the package itself passed
+them before the bounded ratio test.
 """
 
 from __future__ import annotations
@@ -14,6 +18,27 @@ from typing import Sequence
 
 from zerohalf.core import InternalConsistencyError
 from zerohalf.simplex import LpResult, LpStatus
+
+
+def box_rows(
+    lower_present: Sequence[bool], upper_present: Sequence[bool]
+) -> tuple[list[list[int]], list[int]]:
+    """The present bound rows as explicit inequality rows.
+
+    Lower bounds become ``-x_i <= 0`` and upper bounds ``x_i <= 1``, in
+    coordinate order with the lower row first.
+    """
+    n = len(lower_present)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for i in range(n):
+        if lower_present[i]:
+            rows.append([-int(k == i) for k in range(n)])
+            rhs.append(0)
+        if upper_present[i]:
+            rows.append([int(k == i) for k in range(n)])
+            rhs.append(1)
+    return rows, rhs
 
 
 def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:

@@ -22,13 +22,13 @@ from zerohalf.core import (
     MethodNotApplicableError,
     PresolveError,
     ZeroHalfError,
-    box_rows,
 )
 from zerohalf.oracle import brute_closure_optimize, enumerate_cut_rows
 from zerohalf.simplex import LpStatus, lp_solve
 
 from conftest import triangle_instance
 from reference_enumerator import enumerate_bounded_cuts as reference_bounded_cuts
+from reference_simplex import box_rows
 
 F = Fraction
 H = Fraction(1, 2)

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from zerohalf import matching, simplex
+from zerohalf.core import InternalConsistencyError
 from zerohalf.matching import WeightedGraph
 from zerohalf.simplex import LpStatus, lp_solve
 
+from reference_simplex import box_rows as reference_box_rows
 from reference_simplex import lp_solve as reference_lp_solve
 
 F = Fraction
@@ -48,7 +50,7 @@ class TestBasics:
     def test_nonneg_mode_matches_explicit_rows(self):
         rows = [[2, 1], [1, 2]]
         a = lp_solve(rows + [[-1, 0], [0, -1]], [2, 2, 0, 0], [1, 1])
-        b = lp_solve(rows, [2, 2], [1, 1], nonneg=True)
+        b = lp_solve(rows, [2, 2], [1, 1], lower_present=[True, True])
         assert a.value == b.value == F(4, 3)
         assert b.point == (F(2, 3), F(2, 3))
 
@@ -79,6 +81,19 @@ class TestBasics:
         # -x <= -1 twice plus x <= 1: feasible set is the single point x = 1
         r = lp_solve([[-1], [-1], [1]], [-1, -1, 1], [1])
         assert r.value == 1
+
+    def test_rhs_longer_than_rows_is_rejected(self):
+        with pytest.raises(ValueError, match="rhs has 3 entries for 1 rows"):
+            lp_solve([[1]], [1, 5, 7], [1])
+
+    def test_rhs_shorter_than_rows_is_rejected(self):
+        with pytest.raises(ValueError, match="rhs has 1 entries for 2 rows"):
+            lp_solve([[1], [-1]], [1], [1])
+
+    @pytest.mark.parametrize("lower, upper", [([True], None), (None, [True, True, False])])
+    def test_box_flags_of_wrong_length_are_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="box flags"):
+            lp_solve([[1, 1]], [1], [1, 1], lower_present=lower, upper_present=upper)
 
 
 class TestAgainstEnumeration:
@@ -198,6 +213,12 @@ def solve(rows, rhs, c, maximize, **kwargs):
     return r if r.value is None else dataclasses.replace(r, value=-r.value)
 
 
+def _boxed(rows, rhs, lower, upper):
+    """The package solver's box written as explicit rows, for the reference."""
+    brows, brhs = reference_box_rows(lower, upper)
+    return [*rows, *brows], [*rhs, *brhs]
+
+
 class TestAgainstReference:
     """The integer tableau follows the Fraction tableau pivot for pivot."""
 
@@ -206,7 +227,7 @@ class TestAgainstReference:
         seen = set()
         for trial in range(400):
             rows, rhs, c, maximize, nonneg = _random_lp(rng)
-            got = solve(rows, rhs, c, maximize, nonneg=nonneg)
+            got = solve(rows, rhs, c, maximize, lower_present=[nonneg] * len(c))
             ref = reference_lp_solve(rows, rhs, c, maximize=maximize, nonneg=nonneg)
             assert (got.status, got.value, got.point) == (ref.status, ref.value, ref.point), (
                 f"trial {trial}: {rows} {rhs} {c} max={maximize} nonneg={nonneg}"
@@ -231,7 +252,7 @@ class TestAgainstReference:
         # Tied optima where a phase-1 cost of -1 on every scaled artificial
         # (instead of -L/s_j) takes another pivot path to another vertex.
         rows = rows + [[int(i == k) for i in range(4)] for k in range(4)]
-        got = solve(rows, rhs + upper, c, maximize, nonneg=True)
+        got = solve(rows, rhs + upper, c, maximize, lower_present=[True] * 4)
         ref = reference_lp_solve(rows, rhs + upper, c, maximize=maximize, nonneg=True)
         assert got.status is LpStatus.OPTIMAL
         assert (got.value, got.point) == (ref.value, ref.point)
@@ -247,9 +268,10 @@ class TestAgainstReference:
         graph = WeightedGraph(3 * k, tuple(edges))
         solved = []
 
-        def both(rows, rhs, objective, **kwargs):
-            got = lp_solve(rows, rhs, objective, **kwargs)
-            ref = reference_lp_solve(rows, rhs, objective, **kwargs)
+        def both(rows, rhs, objective, *, lower_present, upper_present):
+            got = lp_solve(rows, rhs, objective, lower_present=lower_present,
+                           upper_present=upper_present)
+            ref = reference_lp_solve(*_boxed(rows, rhs, lower_present, upper_present), objective)
             assert (got.status, got.value, got.point) == (ref.status, ref.value, ref.point)
             solved.append(len(rows))
             return got
@@ -260,3 +282,116 @@ class TestAgainstReference:
         assert res.weight == 3 * k // 2
         assert res.counters.lp_solves == len(solved) > 1
         assert res.counters.cuts_added > 0
+
+
+def _assert_feasible(point, rows, rhs, lower, upper):
+    for row, b in zip(rows, rhs):
+        assert sum(F(a) * x for a, x in zip(row, point)) <= b
+    for x, low, up in zip(point, lower, upper):
+        assert not (low and x < 0) and not (up and x > 1)
+
+
+class TestNativeBox:
+    """Bounds handled in the ratio test agree with the box written as rows."""
+
+    def test_random_boxed_lps_agree_with_explicit_box_rows(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for trial in range(400):
+            rows, rhs, c, maximize, _ = _random_lp(rng)
+            lower = [rng.random() < 0.6 for _ in c]
+            upper = [rng.random() < 0.6 for _ in c]
+            got = solve(rows, rhs, c, maximize, lower_present=lower, upper_present=upper)
+            ref = reference_lp_solve(*_boxed(rows, rhs, lower, upper), c, maximize=maximize)
+            context = f"trial {trial}: {rows} {rhs} {c} max={maximize} {lower} {upper}"
+            assert (got.status, got.value) == (ref.status, ref.value), context
+            if got.status is LpStatus.OPTIMAL:
+                _assert_feasible(got.point, rows, rhs, lower, upper)
+                if any(up and x == 1 for up, x in zip(upper, got.point)):
+                    seen.add("at an upper bound")
+            seen.add(got.status)
+            seen.add(("phase 1", any(v < 0 for v in rhs)))
+            seen.add(("mixed box", len(set(zip(lower, upper))) > 1))
+        assert set(LpStatus) | {"at an upper bound", ("phase 1", True),
+                                ("mixed box", True)} <= seen
+
+    def test_beale_cycling_example_with_every_coordinate_boxed(self):
+        # Beale 1955: cycles under the largest-coefficient rule; its row
+        # x6 <= 1 is part of the box here
+        rows = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3]]
+        c = [F(3, 4), -150, F(1, 50), -6]
+        box = [True] * 4
+        got = lp_solve(rows, [0, 0], c, lower_present=box, upper_present=box)
+        ref = reference_lp_solve(*_boxed(rows, [0, 0], box, box), c)
+        assert got.status is LpStatus.OPTIMAL
+        assert got.value == ref.value == F(1, 20)
+        assert got.point == (F(1, 25), 0, 1, 0)
+
+    def test_basic_variable_leaves_at_its_upper_bound_with_step_zero(self, monkeypatch):
+        # x1 enters and meets the row x1 - x2 <= 1 exactly at its bound of 1
+        # (a tie, so no flip); x2 then enters with coefficient -1 in that
+        # row, and x1 leaves at its upper bound: its complemented row has
+        # right-hand side D - D = 0, a step of 0
+        pivots = []  # (leaving column, entering column, pivot row rhs)
+        original = simplex._pivot
+
+        def record(tab, basis, den, row, col, obj=None):
+            pivots.append((basis[row], col, tab[row][-1]))
+            return original(tab, basis, den, row, col, obj)
+
+        monkeypatch.setattr(simplex, "_pivot", record)
+        box = [True, True]
+        got = lp_solve([[1, -1]], [1], [1, 1], lower_present=box, upper_present=box)
+        assert pivots[:2] == [(2, 0, 1), (0, 1, 0)]
+        assert (got.value, got.point) == (2, (1, 1))
+
+    def test_upper_bound_on_a_free_coordinate_caps_its_positive_part(self):
+        free, capped = [False], [True]
+        got = lp_solve([], [], [1], lower_present=free, upper_present=capped)
+        assert (got.value, got.point) == (1, (1,))
+        got = lp_solve([[-1]], [2], [-1], lower_present=free, upper_present=capped)
+        assert (got.value, got.point) == (2, (-2,))
+        got = lp_solve([], [], [-1], lower_present=free, upper_present=capped)
+        assert got.status is LpStatus.UNBOUNDED
+
+
+class TestCertificate:
+    """A tampered certificate raises, checked on real solves."""
+
+    @staticmethod
+    def _solve_with(monkeypatch, tamper, c=(1, 0)):
+        original = simplex._certify
+
+        def tampered(a, cprime, lower, upper, duals, bound_duals, value, den, xnum):
+            bound_duals, xnum = list(bound_duals), list(xnum)
+            tamper(bound_duals, xnum, den)
+            original(a, cprime, lower, upper, duals, bound_duals, value, den, xnum)
+
+        monkeypatch.setattr(simplex, "_certify", tampered)
+        box = [True, True]
+        # max c.x over x1 + x2 <= 3 in the unit box: x1 = 1 at its bound
+        return lp_solve([[1, 1]], [3], list(c), lower_present=box, upper_present=box)
+
+    def test_untampered_certificate_passes(self, monkeypatch):
+        res = self._solve_with(monkeypatch, lambda w, x, den: None)
+        assert (res.value, res.point) == (1, (1, 0))
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda w, x, den: w.__setitem__(0, w[0] + den), "duality gap"),
+        (lambda w, x, den: w.__setitem__(0, 0), "dual constraint violated"),
+        (lambda w, x, den: w.__setitem__(0, -w[0]), "bound dual negative"),
+        (lambda w, x, den: w.__setitem__(1, den), "duality gap"),
+    ])
+    def test_tampered_bound_dual_raises(self, monkeypatch, tamper, message):
+        with pytest.raises(InternalConsistencyError, match=message):
+            self._solve_with(monkeypatch, tamper)
+
+    def test_point_above_its_bound_raises(self, monkeypatch):
+        # with a zero objective on x2, raising it to 2 keeps the value and
+        # the row x1 + x2 <= 3; only the box can object
+        with pytest.raises(InternalConsistencyError, match="leaves the box"):
+            self._solve_with(monkeypatch, lambda w, x, den: x.__setitem__(1, 2 * den))
+
+    def test_bound_dual_on_a_missing_bound_raises(self):
+        with pytest.raises(InternalConsistencyError, match="missing bound"):
+            simplex._certify([[1, 3]], [1], [True], [False], [1], [1], 4, 1, [1])
