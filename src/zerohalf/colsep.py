@@ -32,10 +32,21 @@ the source side of the cut; doubled extended slack at xstar equals the
 candidate's fixed cost plus the cut value.  Capacities and costs are
 integer numerators over ``ctx.scale``, so a candidate yields a violated
 cut exactly when that total stays below the scale.
+
+Candidates differ only in their source row and one column, so the graph is
+a shared per-context structure plus the candidate's delta:
+``tight_row_graph`` lists the tight rows, each column's odd tight rows and
+the slack and parity edges among them once per context, and
+``build_cut_graph`` adds a slack row (and its odd columns) or drops a box
+candidate's source from its coordinate, on copies, rebuilding only the
+edges of the columns it touched.  The union-find runs only when a column
+without a repair side has odd committed rows; otherwise every row is its
+own node and the shared edges are used as they are.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,44 +128,108 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def build_cut_graph(ctx: SeparationContext, cand: ColCandidate) -> CutGraphInfo:
-    committed = set(ctx.tight_rows)
-    if cand.kind == "row":
-        committed.add(cand.source_row)
-    # each column's odd committed rows; at a box candidate's coordinate the
-    # slack bound row already fixes the source, so only its partner is left
-    odd = [[v for v in rows if v in committed] for rows in ctx.parity.column_odd_rows]
+@dataclass(frozen=True)
+class TightRowGraph:
+    """The part of every candidate's cut graph that the context fixes.
+
+    ``rows`` are the tight rows in index order, ``slack_edges`` their slack
+    edges to the sink (aligned with ``rows``), ``odd[i]`` the odd tight rows
+    of column i, ``col_edges[i]`` the parity edge of a repairable column i
+    with odd tight rows (else None), and ``unrepairable`` the columns with
+    no repair side.  Candidates share these objects and never change them.
+    """
+
+    rows: tuple[int, ...]
+    slack_edges: tuple[Edge, ...]
+    odd: tuple[tuple[int, ...], ...]
+    col_edges: tuple[Edge | None, ...]
+    unrepairable: tuple[int, ...]
+
+
+def _col_edge(cap: int | None, i: int, rows: tuple[int, ...]) -> Edge | None:
+    if cap is None or not rows:
+        return None
+    return Edge(rows[0], rows[1] if len(rows) == 2 else _SINK, cap, ("col", i))
+
+
+def tight_row_graph(ctx: SeparationContext) -> TightRowGraph:
+    """The tight rows' share of the cut graph, built once per context."""
+    rows = tuple(sorted(ctx.tight_rows))
+    odd = tuple(
+        [tuple([v for v in col if v in ctx.tight_rows]) for col in ctx.parity.column_odd_rows]
+    )
+    costs = ctx.tight_bound_cost
+    return TightRowGraph(
+        rows,
+        tuple([Edge(v, _SINK, ctx.slack_star[v], ("slack", v)) for v in rows]),
+        odd,
+        tuple([_col_edge(cap, i, col) for i, (cap, col) in enumerate(zip(costs, odd))]),
+        tuple([i for i, cap in enumerate(costs) if cap is None]),
+    )
+
+
+def build_cut_graph(
+    ctx: SeparationContext, cand: ColCandidate, base: TightRowGraph | None = None
+) -> CutGraphInfo:
+    """Cut graph of one candidate: the shared tight-row graph plus its delta.
+
+    ``base`` is ``tight_row_graph(ctx)``, built here when not handed in.
+    """
+    if base is None:
+        base = tight_row_graph(ctx)
+    rows, slack_edges = base.rows, base.slack_edges
+    changed: dict[int, tuple[int, ...]] = {}  # patched odd rows per column
+    j = cand.source_row
+    if cand.kind == "row" and j not in ctx.tight_rows:
+        k = bisect_left(rows, j)
+        rows = rows[:k] + (j,) + rows[k:]
+        edge = Edge(j, _SINK, ctx.slack_star[j], ("slack", j))
+        slack_edges = slack_edges[:k] + (edge,) + slack_edges[k:]
+        for i in ctx.parity.row_odd_columns[j]:
+            changed[i] = tuple(sorted(base.odd[i] + (j,)))
     if cand.coord is not None:
-        odd[cand.coord].remove(cand.source_row)
-    committed = sorted(committed)
+        # the slack bound row already fixes the source at its coordinate,
+        # so only the partner is left there
+        col = list(changed.get(cand.coord, base.odd[cand.coord]))
+        col.remove(j)
+        changed[cand.coord] = tuple(col)
+    col_edges = base.col_edges
+    if changed:
+        col_edges = list(col_edges)
+        for i, col in changed.items():
+            col_edges[i] = _col_edge(ctx.tight_bound_cost[i], i, col)
+    col_edges = [e for e in col_edges if e is not None]
 
-    uf = _UnionFind(committed + [_SINK])
-    for i, rows in enumerate(odd):
-        if rows and ctx.tight_bound_cost[i] is None:
-            # no repair side: the odd rows travel together, or with the sink
-            uf.union(rows[0], rows[1] if len(rows) == 2 else _SINK)
+    # no repair side: the odd rows travel together, or with the sink
+    pinned = [col for i in base.unrepairable if (col := changed.get(i, base.odd[i]))]
+    if not pinned:
+        # nothing contracts, so every row is its own node
+        nodes = rows + (_SINK,)
+        members = {v: (v,) for v in rows}
+        return CutGraphInfo(
+            cand, False, Graph(nodes, [*slack_edges, *col_edges]), j, _SINK, members
+        )
 
+    uf = _UnionFind(rows + (_SINK,))
+    for col in pinned:
+        uf.union(col[0], col[1] if len(col) == 2 else _SINK)
     sink = uf.find(_SINK)
-    source = uf.find(cand.source_row)
+    source = uf.find(j)
     if source == sink:
         return CutGraphInfo(cand, True, None, None, None, {})
 
     edges = []
-    for v in committed:
+    for v, e in zip(rows, slack_edges):
         root = uf.find(v)
         if root != sink:
-            edges.append(Edge(root, sink, ctx.slack_star[v], ("slack", v)))
-    for i, rows in enumerate(odd):
-        cap = ctx.tight_bound_cost[i]
-        if cap is None or not rows:
-            continue
-        a = uf.find(rows[0])
-        b = uf.find(rows[1]) if len(rows) == 2 else sink
+            edges.append(e if root == v else Edge(root, sink, e.weight, e.tag))
+    for e in col_edges:
+        a, b = uf.find(e.u), uf.find(e.v)
         if a != b:
-            edges.append(Edge(a, b, cap, ("col", i)))
+            edges.append(e if (a, b) == (e.u, e.v) else Edge(a, b, e.weight, e.tag))
 
     members: dict[int, list[int]] = {}
-    for v in committed:
+    for v in rows:
         members.setdefault(uf.find(v), []).append(v)
     nodes = sorted(members) + ([sink] if sink not in members else [])
     return CutGraphInfo(
@@ -190,8 +265,9 @@ def primal_separate_col(ctx: SeparationContext) -> SeparationResult:
         raise MethodNotApplicableError("a column of A has more than two odd entries")
     best: tuple[int, Cut, Fraction] | None = None
     calls = 0
+    base = tight_row_graph(ctx)
     for cand in enumerate_col_candidates(ctx):
-        info = build_cut_graph(ctx, cand)
+        info = build_cut_graph(ctx, cand, base)
         if info.collapsed:
             continue
         res = min_cut(info.graph, info.source, info.sink)

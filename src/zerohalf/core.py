@@ -180,8 +180,9 @@ def _first_failure(instance: IlpInstance, slacks: list, xnum: list, denom: int) 
 
 
 def _grid_check(values: tuple[Fraction, ...], q: int, what: str) -> None:
+    # a reduced v is on the grid iff 0 <= v < 1 and its denominator divides q
     for v in values:
-        if v < 0 or v >= 1 or (v * q).denominator != 1:
+        if not (0 <= v.numerator < v.denominator and q % v.denominator == 0):
             grid = ", ".join(["0"] + [f"{k}/{q}" for k in range(1, q)])
             raise MultiplierError(f"{what} entry {v} not in {{{grid}}}")
 

@@ -1,8 +1,12 @@
 """Command-line interface: formats, subcommands, exit codes."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -502,3 +506,29 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert run_command(["--help"]) == 0
         assert "separate" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    """``python -m zerohalf`` from a checkout runs the same command line."""
+
+    @staticmethod
+    def run_module(*args):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-m", "zerohalf", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_separate_prints_what_run_command_prints(self, k3_paths, capsys):
+        inst, xhat, xstar = k3_paths
+        argv = ["separate", "--instance", inst, "--xhat", xhat, "--xstar", xstar]
+        assert run_command(argv) == 0
+        expected = capsys.readouterr().out
+        proc = self.run_module(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+    def test_usage_error_exits_1(self):
+        proc = self.run_module("frobnicate")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("usage error: argument command: invalid choice")

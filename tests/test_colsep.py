@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from zerohalf import matching
 from zerohalf.colsep import (
     ColCandidate,
     build_cut_graph,
     enumerate_col_candidates,
     extract_multipliers,
     primal_separate_col,
+    tight_row_graph,
 )
 from zerohalf.core import (
     IlpInstance,
@@ -25,6 +27,7 @@ from zerohalf.core import (
 )
 from zerohalf.generate import gen_primal_case
 from zerohalf.graphs import min_cut
+from zerohalf.matching import WeightedGraph
 from zerohalf.oracle import brute_primal_separate
 
 import reference_colsep
@@ -267,9 +270,80 @@ def _multipliers_or_error(extract, ctx, info, side):
         return InternalConsistencyError
 
 
+def _assert_matches_reference(ctx, cand, info, seen):
+    """``info`` (the package's graph for ``cand``) equals the former
+    builder's, edge list in order, with the same minimum cut and multipliers."""
+    ref = reference_colsep.build_cut_graph(ctx, cand)
+    seen["candidates"] += 1
+    assert info.collapsed == ref.collapsed
+    if info.collapsed:
+        seen["collapsed"] += 1
+        return
+    assert (info.source, info.sink, info.members) == (ref.source, ref.sink, ref.members)
+    partner = [e.tag for e in ref.graph.edges if e.tag[0] == "partner"]
+    seen["partner edges"] += len(partner)
+    assert info.graph.nodes == ref.graph.nodes
+    assert [(e.u, e.v, e.weight, e.tag) for e in info.graph.edges] == [
+        (e.u, e.v, e.weight, ("col", e.tag[1]) if e.tag in partner else e.tag)
+        for e in ref.graph.edges
+    ]
+    got_cut = min_cut(info.graph, info.source, info.sink)
+    ref_cut = min_cut(ref.graph, ref.source, ref.sink)
+    assert got_cut.value == ref_cut.value
+    side, ref_side = got_cut.source_side, ref_cut.source_side
+    assert _selected_rows(info, side) == _selected_rows(ref, ref_side)
+    mult = _multipliers_or_error(extract_multipliers, ctx, info, side)
+    seen["rejected selections"] += mult is InternalConsistencyError
+    assert mult == _multipliers_or_error(
+        reference_colsep.extract_multipliers, ctx, ref, ref_side
+    )
+
+
+def triangle_chain(k, rng):
+    edges = []
+    for t in range(k):
+        a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
+        edges += [(a, b, 1), (b, c, 1), (a, c, 1)]
+        if t + 1 < k:
+            edges.append((c, c + 1, 1))
+    rng.shuffle(edges)
+    return WeightedGraph(3 * k, tuple(edges))
+
+
+def random_weighted_graph(rng, nodes, p, wmax):
+    edges = [
+        (u, v, rng.randint(1, wmax))
+        for u in range(nodes)
+        for v in range(u + 1, nodes)
+        if rng.random() < p
+    ]
+    return WeightedGraph(nodes, tuple(edges))
+
+
+@pytest.fixture(scope="module")
+def matching_contexts():
+    """Every context that ``solve_matching`` separates on triangle chains
+    k = 4..6 and on seeded random weighted graphs."""
+    rng = random.Random("colsep/matching-contexts")
+    graphs = [triangle_chain(k, rng) for k in (4, 5, 6)]
+    graphs += [random_weighted_graph(rng, rng.randint(12, 15), 0.3, 9) for _ in range(14)]
+    contexts = []
+
+    def record(ctx):
+        contexts.append(ctx)
+        return primal_separate_col(ctx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "primal_separate_col", record)
+        for graph in graphs:
+            matching.solve_matching(graph)
+    return contexts
+
+
 class TestAgainstReference:
-    """The one-rule builder matches the former per-column scan with its
-    separate partner branch, candidate by candidate."""
+    """The shared tight-row graph plus each candidate's delta matches the
+    former per-column scan with its separate partner branch, candidate by
+    candidate."""
 
     def test_col2_cases_match_the_former_builder(self, triangle):
         rng = random.Random("colsep/reference-builder")
@@ -282,36 +356,65 @@ class TestAgainstReference:
             ctx = compute_context(inst, xhat, xstar)
             cands = enumerate_col_candidates(ctx)
             assert cands == reference_colsep.enumerate_col_candidates(ctx)
+            base = tight_row_graph(ctx)
             for cand in cands:
-                got = build_cut_graph(ctx, cand)
-                ref = reference_colsep.build_cut_graph(ctx, cand)
-                seen["candidates"] += 1
                 if cand.kind == "box" and ctx.tight_bound_cost[cand.coord] is None:
                     odd = [v for v in ctx.parity.column_odd_rows[cand.coord] if v in ctx.tight_rows]
                     seen["partner pinned"] += len(odd) == 2
-                assert got.collapsed == ref.collapsed
-                if got.collapsed:
-                    seen["collapsed"] += 1
-                    continue
-                assert (got.source, got.sink, got.members) == (ref.source, ref.sink, ref.members)
-                partner = [e.tag for e in ref.graph.edges if e.tag[0] == "partner"]
-                seen["partner edges"] += len(partner)
-                assert got.graph.nodes == ref.graph.nodes
-                assert [(e.u, e.v, e.weight, e.tag) for e in got.graph.edges] == [
-                    (e.u, e.v, e.weight, ("col", e.tag[1]) if e.tag in partner else e.tag)
-                    for e in ref.graph.edges
-                ]
-                got_cut = min_cut(got.graph, got.source, got.sink)
-                ref_cut = min_cut(ref.graph, ref.source, ref.sink)
-                assert got_cut.value == ref_cut.value
-                side, ref_side = got_cut.source_side, ref_cut.source_side
-                assert _selected_rows(got, side) == _selected_rows(ref, ref_side)
-                mult = _multipliers_or_error(extract_multipliers, ctx, got, side)
-                seen["rejected selections"] += mult is InternalConsistencyError
-                assert mult == _multipliers_or_error(
-                    reference_colsep.extract_multipliers, ctx, ref, ref_side
-                )
+                _assert_matches_reference(ctx, cand, build_cut_graph(ctx, cand, base), seen)
         # both special branches of the former builder are exercised
         assert seen["candidates"] >= 1400 and seen["collapsed"] >= 100
         assert seen["partner edges"] >= 100 and seen["partner pinned"] >= 20
         assert seen["rejected selections"] >= 1
+
+    def test_matching_contexts_match_the_former_builder(self, matching_contexts):
+        # every edge variable has both bounds, so no column contracts, and
+        # the slack-1 rows are the degree rows of the nodes left exposed
+        seen = Counter()
+        for ctx in matching_contexts:
+            assert None not in ctx.tight_bound_cost
+            cands = enumerate_col_candidates(ctx)
+            assert cands == reference_colsep.enumerate_col_candidates(ctx)
+            base = tight_row_graph(ctx)
+            seen["row candidates"] += sum(c.kind == "row" for c in cands)
+            for cand in cands:
+                _assert_matches_reference(ctx, cand, build_cut_graph(ctx, cand, base), seen)
+        assert len(matching_contexts) >= 30
+        assert seen["candidates"] >= 1000 and seen["row candidates"] >= 300
+        assert seen["collapsed"] == 0
+
+
+def _shape(info):
+    if info.collapsed:
+        return (True,)
+    edges = [(e.u, e.v, e.weight, e.tag) for e in info.graph.edges]
+    return (False, info.source, info.sink, info.members, info.graph.nodes, edges)
+
+
+class TestSharedStructure:
+    """Candidates patch copies of the shared tight-row graph, never the
+    graph itself, so the order they are built in cannot matter."""
+
+    def test_build_order_does_not_change_any_graph(self, matching_contexts):
+        rng = random.Random("colsep/build-order")
+        contexts = list(matching_contexts[::3])
+        for _ in range(60):
+            case = gen_primal_case(rng, profile="col2")
+            contexts.append(compute_context(case.instance, case.xhat, case.xstar))
+        checked = 0
+        for ctx, other in zip(contexts, contexts[1:] + contexts[:1]):
+            cands = enumerate_col_candidates(ctx)
+            base = tight_row_graph(ctx)
+            forward = [_shape(build_cut_graph(ctx, c, base)) for c in cands]
+            backward = [_shape(build_cut_graph(ctx, c, base)) for c in reversed(cands)]
+            other_cands = enumerate_col_candidates(other)
+            other_base = tight_row_graph(other)
+            mixed = []
+            for k, cand in enumerate(cands):
+                mixed.append(_shape(build_cut_graph(ctx, cand, base)))
+                for c in other_cands[2 * k:2 * k + 2]:
+                    build_cut_graph(other, c, other_base)
+            assert forward == backward[::-1] == mixed
+            assert forward == [_shape(build_cut_graph(ctx, c)) for c in cands]
+            checked += len(cands)
+        assert checked >= 500

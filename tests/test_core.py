@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -101,6 +103,30 @@ class TestDeriveCut:
     def test_grid_violation_rejected(self):
         with pytest.raises(MultiplierError):
             Multipliers((Fraction(1, 3),), (Fraction(0),), (Fraction(0),), modulus=2)
+
+    def test_grid_check_agrees_with_the_fraction_form(self):
+        # the former check multiplied each entry by q in Fraction arithmetic
+        rng = random.Random("core/grid-check")
+        values = [Fraction(k, 12) for k in range(-13, 26)]  # every grid point of q | 12
+        values += [Fraction(rng.randrange(-30, 31), rng.randrange(1, 25)) for _ in range(600)]
+        seen = Counter()
+        for q in (2, 3, 4, 6):
+            grid = ", ".join(["0"] + [f"{k}/{q}" for k in range(1, q)])
+            for v in values:
+                on_grid = not (v < 0 or v >= 1 or (v * q).denominator != 1)
+                seen[q, on_grid] += 1
+                for field in range(3):
+                    entries = [(Fraction(0),), (Fraction(0),), (Fraction(0),)]
+                    entries[field] = (v,)
+                    if on_grid:
+                        Multipliers(*entries, modulus=q)
+                        continue
+                    name = ("lam", "mu_down", "mu_up")[field]
+                    with pytest.raises(MultiplierError) as err:
+                        Multipliers(*entries, modulus=q)
+                    assert str(err.value) == f"{name} entry {v} not in {{{grid}}}"
+        for q in (2, 3, 4, 6):
+            assert seen[q, True] >= q and seen[q, False] >= 400
 
     @pytest.mark.parametrize("modulus", [2.0, "2", 1])
     def test_modulus_must_be_an_integer_of_at_least_two(self, modulus):
