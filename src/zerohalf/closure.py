@@ -15,22 +15,20 @@ most q*k.  Both preconditions, b >= 1 and a nonnegative objective, are
 checked.
 
 With row multipliers alone, lam/q derives an integral cut exactly when
-lam A = 0 (mod q), so for prime q the family is read off the left kernel of
-A over GF(q) (the mod-2 reduction of Caprara and Fischetti): one row
-reduction gives a kernel basis in reduced echelon form, each basis vector
-owning one pivot coordinate where lam equals its coefficient.  A depth-first
-walk over the combinations drops every branch whose pivot coefficients
-already sum past q*k, so for fixed eps and q the work is polynomial in m
-(at most (d+1)^(q*k) combinations, d the kernel dimension).  Composite q is
-no field; it walks the multiplier grid with ``oracle.enumerate_cut_rows``,
-as does q >= 2^32, whose primality is not tested.
-Either way the cuts go through ``oracle.tightest_cuts`` in grid order, so
-both paths give the list the exhaustive enumeration would.  Bound
-rows of the instance participate in the linear program as ordinary rows
-but are never combined into cuts here; a bound that should take part in
-cut generation has to be written as an explicit row of A, which the b >= 1
-precondition then rejects for lower bounds.  The monotone presolve removes
-the offending b = 0 rows for packing-type systems beforehand.
+lam A = 0 (mod q), so the family is read off the left kernel of A mod q
+(the mod-2 reduction of Caprara and Fischetti, over Z/q).  A Howell-form
+echelon of [A mod q | I] (Storjohann and Mulders) gives a kernel basis
+whose pivots divide q; a depth-first walk fixes the pivot entries of lam in
+turn and drops a branch once the final entries of lam sum past q*k.  Each
+node it counts has pivot entries summing to at most q*k, so for fixed eps
+and q the work is polynomial in m: at most d (d+1)^(q*k) nodes for d basis
+vectors.  The cuts go through ``oracle.tightest_cuts`` in grid order,
+giving the exhaustive enumeration's list.  Bound rows of the instance
+participate in the linear program as ordinary rows but are never combined
+into cuts here; a bound that should take part in cut generation has to be
+written as an explicit row of A, which the b >= 1 precondition then
+rejects for lower bounds.  The monotone presolve removes the offending
+b = 0 rows for packing-type systems beforehand.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .core import (
     ZeroHalfError,
     objective_of,
 )
-from .oracle import DEFAULT_BUDGET, enumerate_cut_rows, tightest_cuts
+from .oracle import DEFAULT_BUDGET, tightest_cuts
 from .simplex import solve_relaxation
 
 
@@ -135,76 +133,80 @@ def monotone_presolve(
     return reduced, report
 
 
-# Largest modulus whose primality is settled by trial division (at most
-# 2^16 steps); a larger one takes the grid path, which holds for any modulus.
-_FIELD_LIMIT = 1 << 32
+def _echelon(pool: list[list[int]], q: int) -> list[list[int]]:
+    """Howell-form echelon over Z/q: the pivot rows, pivot columns ascending.
 
-
-def _is_prime(q: int) -> bool:
-    return 2 <= q < _FIELD_LIMIT and all(q % p for p in range(2, math.isqrt(q) + 1))
-
-
-def _row_reduce(rows: list[list[int]], ncols: int, q: int) -> int:
-    """Reduced echelon form over GF(q) on the first ncols columns, in place.
-
-    Returns the rank r: rows[:r] hold a 1 at their pivot column, pivots
-    ascending, and every other row is 0 there; rows[r:] are 0 on those
-    columns.
+    A pivot row is 0 before its pivot column and holds a divisor g of q
+    there.  Putting it back times q/g, 0 there, keeps in the pool all of the
+    span that is 0 up to the column (Storjohann and Mulders 1998).
     """
-    r = 0
-    for col in range(ncols):
-        hit = next((j for j in range(r, len(rows)) if rows[j][col]), None)
-        if hit is None:
+    pivots = []
+    for col in range(len(pool[0])):
+        hit = [row for row in pool if row[col]]
+        if not hit:
             continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        inv = pow(rows[r][col], -1, q)
-        rows[r] = [v * inv % q for v in rows[r]]
-        for j, row in enumerate(rows):
-            f = row[col]
-            if j != r and f:
-                rows[j] = [(v - f * w) % q for v, w in zip(row, rows[r])]
-        r += 1
-    return r
+        pool = [row for row in pool if not row[col]]
+        top = hit.pop()
+        for row in hit:
+            while row[col]:  # Euclid steps, the smaller entry on top
+                if row[col] < top[col]:
+                    top, row = row, top
+                f = row[col] // top[col]
+                row = [(a - f * b) % q for a, b in zip(row, top)]
+            pool.append(row)
+        g = math.gcd(top[col], q)
+        unit = next(u for u in range(pow(top[col] // g, -1, q // g), q, q // g) if math.gcd(u, q) == 1)
+        pivots.append([unit * a % q for a in top])
+        if g > 1:
+            pool.append([q // g * a % q for a in top])
+    return pivots
 
 
 def _kernel_multipliers(instance: IlpInstance, q: int, cap: int, budget: int) -> list[tuple[int, ...]]:
     """Nonzero lam in {0..q-1}^m with lam A = 0 (mod q) and sum(lam) <= cap.
 
-    q must be prime.  Sorted, i.e. in ``itertools.product`` order.  The
-    budget counts the kernel combinations the walk reaches.
+    Sorted, i.e. in ``itertools.product`` order.  The budget counts the
+    nodes the walk builds, partial or complete.
     """
     m, n = instance.m, instance.n
     rows = [[a % q for a in instance.A[j]] + [int(i == j) for i in range(m)] for j in range(m)]
-    rank = _row_reduce(rows, n, q)
-    basis = [row[n:] for row in rows[rank:]]  # rows with a zero A part
-    _row_reduce(basis, m, q)
-    d = len(basis)
-    # An odometer over the coefficients c, last digit fastest, skipping
-    # every c whose digit sum (lam's pivot entries) exceeds cap.
-    # partial[t] is sum_{i<t} c_i basis[i] mod q, so partial[d] is lam.
-    c = [0] * d
-    partial = [(0,) * m] * (d + 1)
-    used = spent = 0
-    found = []
-    while True:
-        spent += 1
-        if spent > budget:
-            raise BudgetExceededError(f"more than {budget} multiplier candidates")
-        lam = partial[d]
-        if 0 < sum(lam) <= cap:
+    basis = [row[n:] for row in _echelon(rows, q) if not any(row[:n])]  # kernel rows
+    cols = [next(i for i, a in enumerate(row) if a) for row in basis]
+    for t, p in enumerate(cols):  # below g above each pivot g: at g = 1 a node is its first child
+        for i in range(t):
+            f = basis[i][p] // basis[t][p]
+            basis[i] = [(a - f * b) % q for a, b in zip(basis[i], basis[t])]
+    levels = [(row, p, row[p], end) for row, p, end in zip(basis, cols, cols[1:] + [m])]
+    # A node at depth t sums basis[:t]; the later rows are 0 before cols[t],
+    # so its entries there are final, summing to fixed[t].  Its children take
+    # each pivot entry v congruent to its own mod g up to tops[t], one basis[t]
+    # apart, and are dropped when their final entries sum past cap.
+    d = len(levels)
+    lams, vs, tops, fixed = [()] * d, [0] * d, [0] * d, [0] * (d + 1)
+    t, node, spent, found = 0, (0,) * m, 0, []
+    while t >= 0 and levels:
+        row, p, g, end = levels[t]
+        if node is None:
+            v = vs[t] + g
+            if v > tops[t]:
+                t -= 1
+                continue
+            lam = tuple([(a + b) % q for a, b in zip(lams[t], row)])
+        else:
+            e = node[p]
+            v, tops[t] = e % g, min(q - 1, cap - fixed[t])
+            spent += (tops[t] - v) // g + 1  # every child of node is built
+            if spent > budget:
+                raise BudgetExceededError(f"more than {budget} multiplier candidates")
+            lam = tuple([(a - e // g * b) % q for a, b in zip(node, row)]) if e >= g else node
+        lams[t], vs[t], node = lam, v, None
+        s = fixed[t] + sum(lam[p:end])  # past cap also when v > tops[t]
+        if s <= cap and t + 1 < d:
+            fixed[t + 1] = s
+            t, node = t + 1, lam
+        elif 0 < s <= cap:
             found.append(lam)
-        # advance the rightmost digit that can grow; the digits after it drop to 0
-        t, tail = d - 1, 0
-        while t >= 0 and (c[t] == q - 1 or used - tail >= cap):
-            tail += c[t]
-            t -= 1
-        if t < 0:
-            return sorted(found)
-        c[t + 1:] = [0] * (d - t - 1)
-        c[t] += 1
-        used += 1 - tail
-        step = tuple([(a + b) % q for a, b in zip(partial[t + 1], basis[t])])
-        partial[t + 1:] = [step] * (d - t)
+    return sorted(found)
 
 
 def enumerate_bounded_cuts(
@@ -217,18 +219,15 @@ def enumerate_bounded_cuts(
     After checking b >= 1: integrality of every coefficient is required
     outright, and per coefficient vector the smallest right-hand side is
     kept, with the earliest multiplier vector in grid order as provenance
-    (``oracle.tightest_cuts``).  Prime q enumerates the left kernel of A
-    mod q and the budget counts kernel combinations; composite q runs
-    ``oracle.enumerate_cut_rows``, whose budget counts grid vectors.
+    (``oracle.tightest_cuts``).  The multipliers come from the left kernel
+    of A mod q for every modulus; the budget counts the nodes the kernel
+    walk builds, partial or complete.
     """
     if any(v <= 0 for v in instance.b):
         raise MethodNotApplicableError(
             "the approximation needs b >= 1 on every row"
         )
-    q = params.modulus
-    if not _is_prime(q):
-        return enumerate_cut_rows(instance, q, Fraction(params.k), budget, rows_only=True)
-    zero = (0,) * instance.n
+    q, zero = params.modulus, (0,) * instance.n
     lams = _kernel_multipliers(instance, q, q * params.k, budget)
     return tightest_cuts(instance, [(lam, zero, zero) for lam in lams], q)
 

@@ -212,7 +212,19 @@ def _extend(adj, matched, record, record_cycle, start: int, at: int, seq: list[i
 def solve_matching(
     graph: WeightedGraph, weights: Sequence[int] | None = None
 ) -> MatchingResult:
-    """Maximum-weight matching; weights default to the graph's own."""
+    """Maximum-weight matching; weights default to the graph's own.
+
+    When the column separator finds no cut, the toggle search stays inside
+    supp(x* - xhat), and it always finds one there.  With no cut, x* meets
+    every facet of the matching polytope that is tight at xhat (degree rows,
+    bounds and odd-set inequalities, all rows or {0,1/2}-cuts of the degree
+    system), so x* - xhat lies in the polytope's radial cone at xhat.  That
+    cone is generated by alternating paths and cycles, each -1 only on
+    matched and +1 only on unmatched edges, so none cancel: every generator
+    of x* - xhat lies inside its support, and one of them has positive gain
+    because x* is worth more than xhat.  A failed search is therefore an
+    internal error.
+    """
     if weights is None:
         weights = tuple([w for _, _, w in graph.edges])
     weights = tuple([int(w) for w in weights])
@@ -248,10 +260,8 @@ def solve_matching(
         support = frozenset(e for e in range(n) if res.point[e] != xhat[e])
         toggle = _best_toggle(graph, weights, matched, support)
         if toggle is None:
-            toggle = _best_toggle(graph, weights, matched, frozenset(range(n)))
-        if toggle is None:
             raise InternalConsistencyError(
-                "no cut and no improving alternating toggle; the solver is stuck"
+                "no cut and no improving alternating toggle inside supp(x* - xhat)"
             )
         xhat = tuple(
             [Fraction(1) - x if e in toggle else x for e, x in enumerate(xhat)]

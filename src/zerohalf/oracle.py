@@ -14,8 +14,9 @@ budget raises BudgetExceededError rather than silently truncating.
 
 ``enumerate_cut_rows`` stays on this brute loop: it is the ground truth
 that the closure approximation is checked against.  The approximation
-enumerates its own family from the left kernel of A over GF(q) (see
-``closure``) and shares only ``tightest_cuts``, the deduplication step.
+enumerates its own family from the left kernel of A mod q, for every
+modulus (see ``closure``), and shares only ``tightest_cuts``, the
+deduplication step.
 """
 
 from __future__ import annotations

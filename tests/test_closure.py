@@ -28,6 +28,7 @@ from zerohalf.simplex import LpStatus, lp_solve
 
 from conftest import triangle_instance
 from reference_enumerator import enumerate_bounded_cuts as reference_bounded_cuts
+from reference_kernel import kernel_multipliers as reference_kernel_multipliers
 from reference_simplex import box_rows
 
 F = Fraction
@@ -258,7 +259,7 @@ def test_nonzero_multipliers_may_cancel_every_coefficient():
     assert _cut_rows(got) == _cut_rows(reference_bounded_cuts(inst, params))
 
 
-# ---------------------------------------------------- the GF(q) kernel path
+# ------------------------------------------------------- the Z/q kernel walk
 
 
 @st.composite
@@ -275,7 +276,10 @@ def _family_instances(draw, max_rows):
     )
 
 
-@pytest.mark.parametrize("q, max_rows", [(2, 7), (3, 6), (5, 4)])
+@pytest.mark.parametrize(
+    "q, max_rows",
+    [(2, 7), (3, 6), (5, 4), (4, 5), (6, 4), (8, 4), (9, 4), (12, 3)],
+)
 @pytest.mark.parametrize("eps", [F(1), F(1, 2), F(1, 5)])
 def test_kernel_family_matches_both_grid_enumerators(q, max_rows, eps):
     params = ApproxParams(epsilon=eps, modulus=q)
@@ -291,46 +295,31 @@ def test_kernel_family_matches_both_grid_enumerators(q, max_rows, eps):
     check()
 
 
-def _spy_on_grid_path(monkeypatch):
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args[1])
-        return enumerate_cut_rows(*args, **kwargs)
-
-    monkeypatch.setattr(closure, "enumerate_cut_rows", spy)
-    return calls
-
-
-def test_composite_modulus_walks_the_grid(monkeypatch):
-    # q = 4 is no field: the family comes from the oracle's grid loop
-    calls = _spy_on_grid_path(monkeypatch)
-    rng = random.Random("composite/4")
-    params = ApproxParams(epsilon=F(1, 2), modulus=4)
-    for _ in range(10):
-        m, n = rng.randint(1, 5), rng.randint(1, 3)
-        inst = IlpInstance(
-            A=tuple(tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(m)),
-            b=tuple(rng.randint(1, 4) for _ in range(m)),
-            lower_present=(True,) * n,
-            upper_present=(True,) * n,
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_kernel_walk_matches_the_field_reference(q):
+    # for prime q the Howell basis spans the GF(q) kernel that the former
+    # reduced-echelon odometer walked, so both list the same multipliers
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(_family_instances(6 if q < 5 else 4), st.sampled_from([1, 2, 3, 5]))
+    def check(inst, k):
+        assert closure._kernel_multipliers(inst, q, q * k, 1 << 20) == reference_kernel_multipliers(
+            inst, q, q * k, 1 << 20
         )
-        assert _cut_rows(enumerate_bounded_cuts(inst, params)) == _cut_rows(
-            reference_bounded_cuts(inst, params)
-        )
-    assert calls == [4] * 10
-    enumerate_bounded_cuts(triangle_instance(), ApproxParams(epsilon=1, modulus=3))
-    assert calls == [4] * 10
+
+    check()
 
 
-def test_huge_modulus_walks_the_grid_without_a_primality_search(monkeypatch):
-    # 2^61 - 1 is prime, but testing that by trial division would take 2^30
-    # steps; the grid path needs no field and runs into its budget at once
-    calls = _spy_on_grid_path(monkeypatch)
+def test_huge_modulus_needs_no_primality_search():
+    # 2^61 - 1 is prime, but nothing asks: the triangle's A is invertible
+    # mod any odd q, so the kernel is {0} and the walk builds no node at all
     q = (1 << 61) - 1
-    with pytest.raises(BudgetExceededError):
-        enumerate_bounded_cuts(triangle_instance(), ApproxParams(epsilon=1, modulus=q), budget=100)
-    assert calls == [q]
+    assert enumerate_bounded_cuts(triangle_instance(), ApproxParams(epsilon=1, modulus=q), budget=0) == []
+    # mod 2^64 the kernel is spanned by (1, 1, 1) * 2^63, pivot 2^63: the
+    # walk builds its two children and finds the odd cycle cut
+    q = 1 << 64
+    got = enumerate_bounded_cuts(triangle_instance(), ApproxParams(epsilon=1, modulus=q), budget=2)
+    assert [(c.coeffs, c.rhs) for c in got] == [((1, 1, 1), 1)]
+    assert got[0].provenance.lam == (H, H, H)
 
 
 def _boxed_instance(rng, m, n):
@@ -357,14 +346,30 @@ def test_many_rows_fit_the_default_budget(m, q, eps):
     assert res.cut_count == len(got)
 
 
+def test_composite_modulus_fits_the_default_budget():
+    # q = 4 on a benchmark-shaped instance: the q^12 grid overran the
+    # default budget; the kernel walk reads the family off the Z/4 kernel
+    inst = _boxed_instance(random.Random("boxed-12x8"), 12, 8)
+    params = ApproxParams(epsilon=F(1, 2), modulus=4)
+    got = enumerate_bounded_cuts(inst, params)
+    assert got
+    for cut in got:
+        assert sum(cut.provenance.lam) <= params.k
+        assert all(sum(p * row[i] for p, row in zip(cut.provenance.lam, inst.A)).denominator == 1
+                   for i in range(inst.n))
+    res = approx_optimize(inst, None, params)
+    assert res.cut_count == len(got)
+
+
 def test_budget_counts_kernel_combinations():
-    # six even rows: the kernel is all of GF(2)^6, and the walk reaches the
-    # 57 combinations with at most cap = 4 nonzero pivot coefficients
+    # six even rows: the kernel is all of GF(2)^6, one pivot per row.  The
+    # walk builds one node per prefix of 0/1 pivot entries summing to at
+    # most cap = 4: 2 + 4 + 8 + 16 + (32 - 1) + (64 - 7) = 118
     inst = IlpInstance(A=((2,),) * 6, b=(3,) * 6, lower_present=(True,), upper_present=(True,))
     params = ApproxParams(epsilon=1)
-    assert len(enumerate_bounded_cuts(inst, params, budget=57)) == 4  # x <= 1, ..., 4x <= 6
-    with pytest.raises(BudgetExceededError, match="more than 56 multiplier candidates"):
-        enumerate_bounded_cuts(inst, params, budget=56)
+    assert len(enumerate_bounded_cuts(inst, params, budget=118)) == 4  # x <= 1, ..., 4x <= 6
+    with pytest.raises(BudgetExceededError, match="more than 117 multiplier candidates"):
+        enumerate_bounded_cuts(inst, params, budget=117)
     with pytest.raises(BudgetExceededError):
         enumerate_bounded_cuts(triangle_instance(), params, budget=1)
 

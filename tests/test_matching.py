@@ -5,7 +5,12 @@ import random
 import pytest
 
 from zerohalf import matching
-from zerohalf.core import BudgetExceededError, DimensionMismatchError, ZeroHalfError
+from zerohalf.core import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InternalConsistencyError,
+    ZeroHalfError,
+)
 from zerohalf.matching import (
     WeightedGraph,
     _best_toggle,
@@ -13,6 +18,7 @@ from zerohalf.matching import (
     solve_matching,
 )
 from zerohalf.oracle import brute_max_matching
+from zerohalf.simplex import solve_relaxation
 
 from conftest import triangle_instance
 
@@ -98,6 +104,20 @@ class TestToggleSearch:
         with pytest.raises(BudgetExceededError):
             solve_matching(k3())
 
+    def test_a_failed_support_search_is_an_internal_error(self, monkeypatch):
+        # K3 at xhat = 0: no cut is tight, so the solver must toggle; a search
+        # that finds nothing is not repeated over the whole graph
+        calls = []
+
+        def nothing(graph, weights, matched, allowed):
+            calls.append(allowed)
+            return None
+
+        monkeypatch.setattr(matching, "_best_toggle", nothing)
+        with pytest.raises(InternalConsistencyError, match=r"inside supp\(x\* - xhat\)"):
+            solve_matching(k3())
+        assert calls == [frozenset({0, 1, 2})]
+
 
 class TestSolve:
     def test_k3_needs_the_odd_set_cut(self):
@@ -148,18 +168,23 @@ class TestSolve:
         assert res.weight == want
 
 
+def _random_graphs():
+    rng = random.Random(20260821)
+    for _ in range(60):
+        nodes = rng.randint(2, 7)
+        edges = []
+        for u in range(nodes):
+            for v in range(u + 1, nodes):
+                if rng.random() < 0.55:
+                    edges.append((u, v, rng.randint(0, 5)))
+        yield WeightedGraph(nodes, tuple(edges))
+
+
 class TestOracleAgreement:
     def test_random_graphs_match_the_brute_optimum(self):
-        rng = random.Random(20260821)
         found_cut_runs = 0
-        for _ in range(60):
-            nodes = rng.randint(2, 7)
-            edges = []
-            for u in range(nodes):
-                for v in range(u + 1, nodes):
-                    if rng.random() < 0.55:
-                        edges.append((u, v, rng.randint(0, 5)))
-            g = WeightedGraph(nodes, tuple(edges))
+        for g in _random_graphs():
+            nodes, edges = g.node_count, g.edges
             res = solve_matching(g)
             want, _ = brute_max_matching(g)
             assert res.weight == want
@@ -168,3 +193,28 @@ class TestOracleAgreement:
             assert res.counters.total_mincut_calls == sum(res.counters.mincut_calls)
             found_cut_runs += bool(res.counters.cuts_added)
         assert found_cut_runs >= 5
+
+    def test_each_augmentation_searches_only_the_step_support(self, monkeypatch):
+        # one toggle search per augmentation, with allowed = supp(x* - xhat)
+        # for the x* of the LP just solved: no search over the whole graph
+        points, searches = [], []
+
+        def lp(*args):
+            res = solve_relaxation(*args)
+            points.append(res.point)
+            return res
+
+        def toggle(graph, weights, matched, allowed):
+            step = [x - (e in matched) for e, x in enumerate(points[-1])]
+            searches.append(allowed == frozenset(e for e, dx in enumerate(step) if dx))
+            return _best_toggle(graph, weights, matched, allowed)
+
+        monkeypatch.setattr(matching, "solve_relaxation", lp)
+        monkeypatch.setattr(matching, "_best_toggle", toggle)
+        augmented = 0
+        for g in _random_graphs():
+            searches.clear()
+            res = solve_matching(g)
+            assert searches == [True] * res.counters.augmentations
+            augmented += res.counters.augmentations
+        assert augmented > 0
