@@ -166,20 +166,24 @@ def parse_graph(text: str, source: str = "graph") -> WeightedGraph:
     t.keyword("EDGES")
     m = t.integer("edge count", minimum=0)
     edges = []
-    for e in range(m):
-        u = t.integer(f"edge {e + 1} endpoint")
-        v = t.integer(f"edge {e + 1} endpoint")
-        w = t.integer(f"edge {e + 1} weight")
+    first: dict[frozenset[int], int] = {}  # endpoints -> number of the first such edge
+    for e in range(1, m + 1):
+        u = t.integer(f"edge {e} endpoint")
+        v = t.integer(f"edge {e} endpoint")
+        w = t.integer(f"edge {e} weight")
         if not (1 <= u <= k and 1 <= v <= k):
+            raise FileFormatError(f"{source}: edge {e}: endpoints are 1..{k}, got {u} {v}")
+        if u == v:
+            raise FileFormatError(f"{source}: edge {e}: loop at node {u}")
+        key = frozenset((u, v))
+        if key in first:
             raise FileFormatError(
-                f"{source}: edge {e + 1}: endpoints are 1..{k}, got {u} {v}"
+                f"{source}: edge {e}: {u} {v} repeats edge {first[key]}"
             )
+        first[key] = e
         edges.append((u - 1, v - 1, w))
     t.finish()
-    try:
-        return WeightedGraph(k, tuple(edges))
-    except ZeroHalfError as exc:
-        raise FileFormatError(f"{source}: {exc}") from None
+    return WeightedGraph(k, tuple(edges))
 
 
 def format_instance(instance: IlpInstance) -> str:

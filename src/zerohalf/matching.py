@@ -1,12 +1,15 @@
 """Maximum-weight matching by primal cutting planes.
 
-The solver keeps an integral matching at all times.  Each round solves the
-linear relaxation of the degree system plus all cuts collected so far; a
-fractional optimum is first attacked with the column separator, which only
-produces cuts tight at the current matching, and when no such cut exists
-the matching itself is improved by toggling an alternating path or cycle.
-Odd-set inequalities generate the matching polytope, so one of the two
-moves is always available until an optimal matching is certified.
+The solver keeps an integral matching at all times.  Each round looks at
+the optimum of the linear relaxation of the degree system plus all cuts
+collected so far: solved once from scratch, then re-optimised from the last
+basis after each cut (``simplex.add_cut``) and kept as it is after an
+augmentation, which leaves the relaxation unchanged.  A fractional optimum
+is first attacked with the column separator, which only produces cuts tight
+at the current matching, and when no such cut exists the matching itself is
+improved by toggling an alternating path or cycle.  Odd-set inequalities
+generate the matching polytope, so one of the two moves is always available
+until an optimal matching is certified.
 
 Certification happens in two ways: the relaxation value drops to the
 weight of the current matching (every cut is valid for all matchings, so
@@ -31,7 +34,7 @@ from .core import (
     is_integral,
 )
 from .colsep import primal_separate_col
-from .simplex import solve_relaxation
+from .simplex import add_cut, solve_relaxation
 
 # Alternating walks ``_best_toggle`` may visit per call; more raise
 # BudgetExceededError instead of letting the exponential search run on.
@@ -65,12 +68,17 @@ class WeightedGraph:
 
 @dataclass
 class MatchingCounters:
-    """Work done by one solver run."""
+    """Work done by one solver run.
+
+    ``lp_solves`` counts the cold solve and the warm re-optimisations, one
+    per cut; ``lp_pivots`` sums their pivots and bound flips.
+    """
 
     lp_solves: int = 0
     cuts_added: int = 0
     augmentations: int = 0
     mincut_calls: list[int] = field(default_factory=list)
+    lp_pivots: int = 0
 
     @property
     def max_calls_per_separation(self) -> int:
@@ -239,11 +247,12 @@ def solve_matching(
     n = inst.n
     xhat: tuple[Fraction, ...] = (Fraction(0),) * n
     cuts: list[Cut] = []
+    res = solve_relaxation(
+        inst.A, inst.b, inst.lower_present, inst.upper_present, (), weights
+    )
+    counters.lp_solves += 1
+    counters.lp_pivots += res.pivots
     while True:
-        res = solve_relaxation(
-            inst.A, inst.b, inst.lower_present, inst.upper_present, cuts, weights
-        )
-        counters.lp_solves += 1
         current = sum(w * x for w, x in zip(weights, xhat))
         if res.value == current:
             return _finish(graph, weights, xhat, counters, cuts)
@@ -255,6 +264,9 @@ def solve_matching(
         if sep.cut is not None:
             cuts.append(sep.cut)
             counters.cuts_added += 1
+            res = add_cut(res, sep.cut)
+            counters.lp_solves += 1
+            counters.lp_pivots += res.pivots
             continue
         matched = frozenset(e for e in range(n) if xhat[e] == 1)
         support = frozenset(e for e in range(n) if res.point[e] != xhat[e])

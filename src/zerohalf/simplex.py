@@ -32,16 +32,32 @@ every other row (the objective row included) to
 ``p`` becomes the new ``D``.  Fractions are built only for the returned
 value and point.
 
-Every optimal solve is certified before returning: the row multipliers and
-the bound duals of the flipped columns are read off the final reduced costs
-and checked, in integers, as an exact feasible dual whose value equals that
-of the returned point.  A failed certificate raises
+Warm re-optimisation.  An optimal result carries its final tableau, and
+``add_cut`` adds one row ``a . x <= b`` to it without solving from scratch
+(the primal cutting-plane loop of Letchford & Lodi 2002, "Primal cutting
+plane algorithms revisited").  The row is written in the columns' current
+orientation and over the same ``D``, then reduced against the basis with
+integer row operations, ``D * row - row[b] * T[r]`` for each basic column
+``b`` in row ``r``; its new slack is basic in it with entry ``D``.  The new
+basis has the same determinant, so ``D`` and the exact division of later
+pivots carry over.  The old basis stays dual feasible, so bounded dual
+simplex pivots restore primal feasibility: a basic variable above its bound
+of 1 has its row complemented first, the leaving row is the infeasible one
+with the smallest basic index, and the entering column has the smallest
+ratio ``-obj[j] / -T[r][j]`` over the allowed columns with ``T[r][j] < 0``,
+ties to the smallest ``j`` (Bland's rule applied to the dual, so it cannot
+cycle).  A leaving row with no entering column proves the LP infeasible.
+
+Every optimum, cold or warm, is certified before returning: the row
+multipliers and the bound duals of the flipped columns are read off the
+final reduced costs and checked, in integers, as an exact feasible dual
+whose value equals that of the returned point.  A failed certificate raises
 InternalConsistencyError since it can only mean a solver bug.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -61,11 +77,48 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
+@dataclass
+class LpState:
+    """Final integer tableau of an optimal solve, the starting point of ``add_cut``.
+
+    Columns are the structural ones (``x_i``, then ``x-_i`` of the free
+    coordinates), the slacks of the input rows, the phase-1 artificials
+    (never allowed again) and the slacks of added rows, then the
+    right-hand side.  ``slacks[j]`` is the column of row j's slack, ``a``
+    holds the scaled rows with their right-hand sides last, in input
+    coordinates, and ``cprime`` the objective scaled by ``cscale``.
+    """
+
+    tab: list[list[int]]
+    basis: list[int]
+    den: int
+    obj: list[int]
+    allowed: list[bool]
+    has_upper: list[bool]
+    flipped: list[bool]
+    slacks: list[int]
+    a: list[list[int]]
+    cprime: list[int]
+    cscale: int
+    lower: list[bool]
+    upper: list[bool]
+    free: list[int]
+
+
 @dataclass(frozen=True)
 class LpResult:
+    """Status, value and point of one solve.
+
+    ``pivots`` counts the pivots and bound flips the solve took; an optimal
+    result also carries its final tableau for ``add_cut``.  Neither takes
+    part in comparisons.
+    """
+
     status: LpStatus
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None
+    pivots: int = field(default=0, compare=False)
+    _state: LpState | None = field(default=None, compare=False, repr=False)
 
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
@@ -118,14 +171,18 @@ def _flip(tab: list[list[int]], obj: list[int], col: int) -> None:
             row[-1] -= v
 
 
-def _run_simplex(tab, basis, den: int, obj, allowed, has_upper, flipped) -> tuple[bool, int]:
-    """Bland pivoting until optimal (True) or unbounded (False); returns the final D too.
+def _run_simplex(tab, basis, den: int, obj, allowed, has_upper,
+                 flipped) -> tuple[bool, int, int]:
+    """Bland pivoting until optimal (True) or unbounded (False).
+
+    Also returns the final D and the number of pivots and bound flips.
 
     ``has_upper[j]`` marks the columns with an upper bound of 1 and
     ``flipped[j]`` those currently written as ``1 - x_j``; both flips and
     complemented rows update ``flipped`` in place.
     """
     width = len(obj) - 1
+    steps = 0
     while True:
         enter = -1
         for j in range(width):
@@ -133,7 +190,7 @@ def _run_simplex(tab, basis, den: int, obj, allowed, has_upper, flipped) -> tupl
                 enter = j
                 break
         if enter < 0:
-            return True, den
+            return True, den, steps
         # ratio best_num / best_den of the shortest step, compared by
         # cross-multiplication; a row whose basic variable would rise
         # leaves at its upper bound after (D - rhs) / -a
@@ -158,18 +215,27 @@ def _run_simplex(tab, basis, den: int, obj, allowed, has_upper, flipped) -> tupl
             # the entering variable reaches its own bound of 1 first
             _flip(tab, obj, enter)
             flipped[enter] = not flipped[enter]
+            steps += 1
             continue
         if leave < 0:
-            return False, den
-        row = tab[leave]
-        if row[enter] < 0:
-            # complement the row of the basic variable leaving at its upper bound
-            out = basis[leave]
-            row[:] = [-v for v in row]
-            row[out] = den
-            row[-1] += den
-            flipped[out] = not flipped[out]
+            return False, den, steps
+        if tab[leave][enter] < 0:
+            # the basic variable leaves at its upper bound
+            _complement(tab[leave], basis[leave], den, flipped)
         den = _pivot(tab, basis, den, leave, enter, obj)
+        steps += 1
+
+
+def _complement(row: list[int], out: int, den: int, flipped: list[bool]) -> None:
+    """Substitute ``1 - x`` for the basic variable ``out`` of ``row``.
+
+    Its column is zero in every other row and in the reduced costs, so only
+    this row changes; a value above the bound of 1 becomes one below 0.
+    """
+    row[:] = [-v for v in row]
+    row[out] = den
+    row[-1] += den
+    flipped[out] = not flipped[out]
 
 
 def lp_solve(
@@ -232,6 +298,7 @@ def lp_solve(
     has_upper = upper + [False] * (total - n)
     flipped = [False] * total
     den = 1
+    pivots = 0
 
     if art_rows:
         # Artificial k carries s_j times its rational counterpart, so the
@@ -242,11 +309,11 @@ def lp_solve(
         for k, j in enumerate(art_rows):
             cost1[width + k] = -(art_lcm // scaled[j][1])
         obj = _price(tab, basis, den, cost1)
-        bounded, den = _run_simplex(tab, basis, den, obj, allowed, has_upper, flipped)
+        bounded, den, pivots = _run_simplex(tab, basis, den, obj, allowed, has_upper, flipped)
         if not bounded:
             raise InternalConsistencyError("phase 1 cannot be unbounded")
         if obj[-1] > 0:
-            return LpResult(LpStatus.INFEASIBLE)
+            return LpResult(LpStatus.INFEASIBLE, pivots=pivots)
         # Drive leftover artificials out of the basis.  The slack columns
         # are a signed identity, so no row is zero on the first width
         # columns and no row is ever redundant.
@@ -256,6 +323,7 @@ def lp_solve(
                 if pcol is None:
                     raise InternalConsistencyError("tableau row vanished on the slack columns")
                 den = _pivot(tab, basis, den, r, pcol)
+                pivots += 1
         for k in range(len(art_rows)):
             allowed[width + k] = False
 
@@ -265,25 +333,37 @@ def lp_solve(
     cost2[:struct] = [-c if f else c for c, f in zip(cprime, flipped)] + [-cprime[i] for i in free]
     obj = _price(tab, basis, den, cost2)
     obj[-1] -= den * sum([c for c, f in zip(cprime, flipped) if f])
-    bounded, den = _run_simplex(tab, basis, den, obj, allowed, has_upper, flipped)
+    bounded, den, steps = _run_simplex(tab, basis, den, obj, allowed, has_upper, flipped)
+    pivots += steps
     if not bounded:
-        return LpResult(LpStatus.UNBOUNDED)
+        return LpResult(LpStatus.UNBOUNDED, pivots=pivots)
+    state = LpState(tab, basis, den, obj, allowed, has_upper, flipped,
+                    list(range(struct, width)), a, cprime, cscale, lower, upper, free)
+    return _optimum(state, pivots)
 
+
+def _optimum(state: LpState, pivots: int) -> LpResult:
+    """The certified optimal result read off an optimal tableau."""
+    n = len(state.cprime)
+    struct = n + len(state.free)
+    den, obj, flipped = state.den, state.obj, state.flipped
     # den times each structural variable, back in its own orientation
-    assign = [0] * total
-    for r, bcol in enumerate(basis):
-        assign[bcol] = tab[r][-1]
-    values = [den - v if f else v for v, f in zip(assign[:struct], flipped)]
+    assign = [0] * struct
+    for r, bcol in enumerate(state.basis):
+        if bcol < struct:
+            assign[bcol] = state.tab[r][-1]
+    values = [den - v if f else v for v, f in zip(assign, flipped)]
     xnum = values[:n]
-    for k, i in enumerate(free):
+    for k, i in enumerate(state.free):
         xnum[i] -= values[n + k]
 
-    duals = [-obj[struct + j] for j in range(m)]
+    duals = [-obj[col] for col in state.slacks]
     bound_duals = [-obj[i] if flipped[i] else 0 for i in range(n)]
-    _certify(a, cprime, lower, upper, duals, bound_duals, -obj[-1], den, xnum)
-    vprime = Fraction(-obj[-1], den * cscale)
+    _certify(state.a, state.cprime, state.lower, state.upper, duals, bound_duals, -obj[-1],
+             den, xnum)
+    value = Fraction(-obj[-1], den * state.cscale)
     point = tuple([Fraction(v, den) for v in xnum])
-    return LpResult(LpStatus.OPTIMAL, vprime, point)
+    return LpResult(LpStatus.OPTIMAL, value, point, pivots, state)
 
 
 def solve_relaxation(
@@ -310,6 +390,89 @@ def solve_relaxation(
     if res.status is LpStatus.UNBOUNDED:
         raise LpUnboundedError("the relaxation optimum is unbounded")
     return res
+
+
+def add_cut(res: LpResult, cut: Cut) -> LpResult:
+    """Re-optimise the optimal ``res`` with the row ``cut.coeffs . x <= cut.rhs`` added.
+
+    Starts from the final tableau of ``res`` (left unchanged) and runs
+    bounded dual simplex pivots; the result, which carries its own tableau,
+    equals in status and value that of ``lp_solve`` on the stacked rows,
+    though on tied optima the point may differ.  An empty result raises
+    LpInfeasibleError as ``solve_relaxation`` does.  Raises ValueError when
+    ``res`` has no tableau or the cut does not match its coordinates.
+    """
+    old = res._state
+    if old is None:
+        raise ValueError("add_cut needs an optimal result of lp_solve or add_cut")
+    n = len(old.cprime)
+    if len(cut.coeffs) != n:
+        raise ValueError(f"cut has {len(cut.coeffs)} coefficients for {n} coordinates")
+    arow = [*cut.coeffs, cut.rhs]
+    # the row over the structural columns in their current orientation
+    body = arow[:n] + [-arow[i] for i in old.free]
+    b = arow[-1]
+    for j, v in enumerate(body):
+        if v and old.flipped[j]:
+            body[j] = -v
+            b -= v
+    den = old.den
+    col = len(old.obj) - 1  # the new slack, inserted before the right-hand side
+    tab = [[*row[:-1], 0, row[-1]] for row in old.tab]
+    new = [den * v for v in body] + [0] * (col - len(body)) + [den, den * b]
+    for r, bcol in enumerate(old.basis):
+        f = body[bcol] if bcol < len(body) else 0
+        if f:
+            new = [x - f * t for x, t in zip(new, tab[r])]
+    tab.append(new)
+    state = LpState(
+        tab, old.basis + [col], den, [*old.obj[:-1], 0, old.obj[-1]],
+        old.allowed + [True], old.has_upper + [False], old.flipped + [False],
+        old.slacks + [col], old.a + [arow], old.cprime, old.cscale, old.lower, old.upper,
+        old.free,
+    )
+    feasible, pivots = _run_dual_simplex(state)
+    if not feasible:
+        raise LpInfeasibleError("the relaxation is empty")
+    return _optimum(state, pivots)
+
+
+def _run_dual_simplex(state: LpState) -> tuple[bool, int]:
+    """Dual Bland pivoting on a dual feasible tableau until primal feasible.
+
+    Returns False when a leaving row has no entering column, which proves
+    the LP infeasible, and the number of pivots either way; updates
+    ``state`` in place.
+    """
+    tab, basis, obj = state.tab, state.basis, state.obj
+    allowed, has_upper, flipped = state.allowed, state.has_upper, state.flipped
+    den = state.den
+    width = len(obj) - 1
+    pivots = 0
+    while True:
+        leave = -1
+        for r, row in enumerate(tab):
+            v = row[-1]
+            if (v < 0 or (v > den and has_upper[basis[r]])) and (
+                    leave < 0 or basis[r] < basis[leave]):
+                leave = r
+        if leave < 0:
+            return True, pivots
+        row = tab[leave]
+        if row[-1] > den:
+            _complement(row, basis[leave], den, flipped)
+        # smallest ratio obj[j] / row[j] (both nonpositive), compared by
+        # cross-multiplication; ties keep the smallest column
+        enter = -1
+        best_num = best_den = 0
+        for j in range(width):
+            t = row[j]
+            if t < 0 and allowed[j] and (enter < 0 or obj[j] * best_den < best_num * t):
+                enter, best_num, best_den = j, obj[j], t
+        if enter < 0:
+            return False, pivots
+        state.den = den = _pivot(tab, basis, den, leave, enter, obj)
+        pivots += 1
 
 
 def _certify(a, cprime, lower, upper, duals, bound_duals, value, den, xnum):

@@ -104,6 +104,19 @@ class TestFormats:
         with pytest.raises(FileFormatError, match="1..2"):
             parse_graph("NODES 2\nEDGES 1\n0 1 4\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("NODES 3\nEDGES 1\n1 1 3\n", "edge 1: loop at node 1"),
+        ("NODES 3\nEDGES 3\n1 2 4\n2 3 1\n2 1 5\n", "edge 3: 2 1 repeats edge 1"),
+    ])
+    def test_graph_errors_name_the_edge_and_its_file_endpoints(self, text, message, tmp_path,
+                                                               capsys):
+        with pytest.raises(FileFormatError, match=message):
+            parse_graph(text)
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        assert run_command(["match", "--graph", str(path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     def test_zero_counts_are_format_errors(self, tmp_path, capsys):
         cases = (
             ("ROWS 0\nCOLS 2\nA\nB\nLOWER\n1 1\nUPPER\n1 1\nEND\n", "line 1 column 6"),

@@ -18,7 +18,7 @@ from zerohalf.matching import (
     solve_matching,
 )
 from zerohalf.oracle import brute_max_matching
-from zerohalf.simplex import solve_relaxation
+from zerohalf.simplex import add_cut, solve_relaxation
 
 from conftest import triangle_instance
 
@@ -199,8 +199,13 @@ class TestOracleAgreement:
         # for the x* of the LP just solved: no search over the whole graph
         points, searches = [], []
 
-        def lp(*args):
+        def cold(*args):
             res = solve_relaxation(*args)
+            points.append(res.point)
+            return res
+
+        def warm(res, cut):
+            res = add_cut(res, cut)
             points.append(res.point)
             return res
 
@@ -209,7 +214,8 @@ class TestOracleAgreement:
             searches.append(allowed == frozenset(e for e, dx in enumerate(step) if dx))
             return _best_toggle(graph, weights, matched, allowed)
 
-        monkeypatch.setattr(matching, "solve_relaxation", lp)
+        monkeypatch.setattr(matching, "solve_relaxation", cold)
+        monkeypatch.setattr(matching, "add_cut", warm)
         monkeypatch.setattr(matching, "_best_toggle", toggle)
         augmented = 0
         for g in _random_graphs():
@@ -218,3 +224,36 @@ class TestOracleAgreement:
             assert searches == [True] * res.counters.augmentations
             augmented += res.counters.augmentations
         assert augmented > 0
+
+    def test_an_augmentation_solves_no_lp(self):
+        # one cold solve, then one warm re-optimisation per cut and none
+        # after an augmentation, which leaves the relaxation as it was
+        augmented = cut = 0
+        for g in _random_graphs():
+            c = solve_matching(g).counters
+            if g.edges:
+                assert c.lp_solves == 1 + c.cuts_added
+            augmented += c.augmentations
+            cut += c.cuts_added
+        assert augmented > 0 and cut > 0
+
+    def test_lp_pivots_sum_the_pivots_of_every_solve(self, monkeypatch):
+        pivots = []
+
+        def cold(*args):
+            res = solve_relaxation(*args)
+            pivots.append(res.pivots)
+            return res
+
+        def warm(res, cut):
+            res = add_cut(res, cut)
+            pivots.append(res.pivots)
+            return res
+
+        monkeypatch.setattr(matching, "solve_relaxation", cold)
+        monkeypatch.setattr(matching, "add_cut", warm)
+        for g in _random_graphs():
+            pivots.clear()
+            c = solve_matching(g).counters
+            assert c.lp_pivots == sum(pivots)
+            assert len(pivots) == c.lp_solves

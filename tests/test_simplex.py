@@ -1,14 +1,17 @@
+import contextlib
 import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zerohalf import matching, simplex
-from zerohalf.core import InternalConsistencyError
+from zerohalf.core import Cut, InternalConsistencyError, LpInfeasibleError, Multipliers
 from zerohalf.matching import WeightedGraph
-from zerohalf.simplex import LpStatus, lp_solve
+from zerohalf.simplex import LpStatus, add_cut, lp_solve
 
 from reference_simplex import box_rows as reference_box_rows
 from reference_simplex import lp_solve as reference_lp_solve
@@ -258,6 +261,8 @@ class TestAgainstReference:
         assert (got.value, got.point) == (ref.value, ref.point)
 
     def test_solve_matching_lp_sequence_on_a_triangle_chain(self, monkeypatch):
+        # one cold solve, then one warm re-optimisation per cut: each optimum
+        # has the value of the reference solver on the rows stacked so far
         k = 5
         edges = []
         for t in range(k):
@@ -266,22 +271,32 @@ class TestAgainstReference:
             if t + 1 < k:
                 edges.append((c, c + 1, 1))
         graph = WeightedGraph(3 * k, tuple(edges))
-        solved = []
+        inst = matching.incidence_instance(graph)
+        rows, rhs = list(inst.A), list(inst.b)
+        optima = []
 
-        def both(rows, rhs, objective, *, lower_present, upper_present):
-            got = lp_solve(rows, rhs, objective, lower_present=lower_present,
-                           upper_present=upper_present)
-            ref = reference_lp_solve(*_boxed(rows, rhs, lower_present, upper_present), objective)
-            assert (got.status, got.value, got.point) == (ref.status, ref.value, ref.point)
-            solved.append(len(rows))
-            return got
+        def cold(*args):
+            res = simplex.solve_relaxation(*args)
+            optima.append((res, list(rows), list(rhs)))
+            return res
 
-        # solve_matching reaches lp_solve through simplex.solve_relaxation
-        monkeypatch.setattr(simplex, "lp_solve", both)
+        def warm(res, cut):
+            rows.append(cut.coeffs)
+            rhs.append(cut.rhs)
+            res = add_cut(res, cut)
+            optima.append((res, list(rows), list(rhs)))
+            return res
+
+        monkeypatch.setattr(matching, "solve_relaxation", cold)
+        monkeypatch.setattr(matching, "add_cut", warm)
         res = matching.solve_matching(graph)
         assert res.weight == 3 * k // 2
-        assert res.counters.lp_solves == len(solved) > 1
-        assert res.counters.cuts_added > 0
+        assert res.counters.lp_solves == len(optima) == 1 + res.counters.cuts_added > 1
+        lower, upper = inst.lower_present, inst.upper_present
+        for got, stacked, b in optima:
+            ref = reference_lp_solve(*_boxed(stacked, b, lower, upper), inst.objective)
+            assert (got.status, got.value) == (ref.status, ref.value)
+            _assert_feasible(got.point, stacked, b, lower, upper)
 
 
 def _assert_feasible(point, rows, rhs, lower, upper):
@@ -355,6 +370,141 @@ class TestNativeBox:
         assert got.status is LpStatus.UNBOUNDED
 
 
+def _cut(coeffs, rhs):
+    """A bare inequality as a Cut; ``add_cut`` reads only coeffs and rhs."""
+    n = len(coeffs)
+    return Cut(tuple(coeffs), rhs, Multipliers((), (0,) * n, (0,) * n))
+
+
+def _check_warm_against_cold(rows, rhs, c, lower, upper, cuts):
+    """Add ``cuts`` one at a time to the optimum of the LP; compare each step.
+
+    The warm result must match ``lp_solve`` on the stacked rows in status
+    and value, with a feasible point that attains the value; the points may
+    differ on tied optima.  Returns the statuses seen.
+    """
+    res = lp_solve(rows, rhs, c, lower_present=lower, upper_present=upper)
+    assert res.status is LpStatus.OPTIMAL
+    rows, rhs = list(rows), list(rhs)
+    seen = []
+    for cut in cuts:
+        rows.append(cut.coeffs)
+        rhs.append(cut.rhs)
+        cold = lp_solve(rows, rhs, c, lower_present=lower, upper_present=upper)
+        seen.append(cold.status)
+        if cold.status is LpStatus.INFEASIBLE:
+            with pytest.raises(LpInfeasibleError, match="the relaxation is empty"):
+                add_cut(res, cut)
+            break
+        res = add_cut(res, cut)
+        assert (res.status, res.value) == (cold.status, cold.value)
+        _assert_feasible(res.point, rows, rhs, lower, upper)
+        assert sum(F(v) * x for v, x in zip(c, res.point)) == res.value
+    return seen
+
+
+class TestWarmStart:
+    """``add_cut`` re-optimises from the old basis to the cold optimum."""
+
+    def test_random_boxed_lps_with_added_rows_agree_with_cold_solves(self):
+        rng = random.Random(20261019)
+        statuses, cuts_checked = set(), 0
+        for trial in range(400):
+            rows, rhs, c, _, _ = _random_lp(rng)
+            lower = [rng.random() < 0.7 for _ in c]
+            upper = [rng.random() < 0.7 for _ in c]
+            base = lp_solve(rows, rhs, c, lower_present=lower, upper_present=upper)
+            if base.status is not LpStatus.OPTIMAL:
+                continue
+            cuts = [_cut([rng.randint(-3, 3) for _ in c], rng.randint(-2, 3))
+                    for _ in range(rng.randint(1, 3))]
+            seen = _check_warm_against_cold(rows, rhs, c, lower, upper, cuts)
+            statuses.update(seen)
+            cuts_checked += len(seen)
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+        assert cuts_checked > 300
+
+    def test_a_row_that_empties_the_lp_raises(self):
+        box = [True, True]
+        res = lp_solve([[1, 1]], [3], [1, 1], lower_present=box, upper_present=box)
+        with pytest.raises(LpInfeasibleError, match="the relaxation is empty"):
+            add_cut(res, _cut([-1, -1], -3))
+        # the old optimum is untouched and still takes other rows
+        assert add_cut(res, _cut([1, 1], 1)).value == 1
+        assert (res.value, res.point) == (2, (1, 1))
+
+    @pytest.mark.parametrize("coeffs, rhs", [
+        ((0, 0, 2, 0), 1), ((25, 0, 1, 0), 1), ((1, 0, 0, 0), 0), ((1, -1, 1, -1), 0),
+    ])
+    def test_beale_cycling_example_with_a_cut(self, coeffs, rhs):
+        # degenerate: both rows are tight at 0 with zero right-hand sides
+        rows = [[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3]]
+        c = [F(3, 4), -150, F(1, 50), -6]
+        box = [True] * 4
+        seen = _check_warm_against_cold(rows, [0, 0], c, box, box, [_cut(coeffs, rhs)])
+        assert seen == [LpStatus.OPTIMAL]
+
+    def test_pivots_count_every_pivot_and_bound_flip(self, monkeypatch):
+        steps = []
+        pivot, flip = simplex._pivot, simplex._flip
+
+        def count(original):
+            def counted(*args):
+                steps.append(1)
+                return original(*args)
+            return counted
+
+        monkeypatch.setattr(simplex, "_pivot", count(pivot))
+        monkeypatch.setattr(simplex, "_flip", count(flip))
+        rng = random.Random(20261020)
+        warm = []
+        for _ in range(100):
+            rows, rhs, c, _, _ = _random_lp(rng)
+            lower = [rng.random() < 0.7 for _ in c]
+            upper = [rng.random() < 0.7 for _ in c]
+            steps.clear()
+            res = lp_solve(rows, rhs, c, lower_present=lower, upper_present=upper)
+            assert res.pivots == len(steps)
+            if res.status is LpStatus.OPTIMAL:
+                steps.clear()
+                cut = _cut([rng.randint(-3, 3) for _ in c], rng.randint(0, 3))
+                with contextlib.suppress(LpInfeasibleError):
+                    warm.append(add_cut(res, cut).pivots == len(steps))
+        assert warm and all(warm)
+
+    def test_only_an_optimal_result_with_its_tableau_is_accepted(self):
+        unbounded = lp_solve([[-1]], [0], [1])
+        with pytest.raises(ValueError, match="optimal result"):
+            add_cut(unbounded, _cut([1], 1))
+        res = lp_solve([[1]], [1], [1])
+        with pytest.raises(ValueError, match="1 coordinates"):
+            add_cut(res, _cut([1, 1], 1))
+
+
+@st.composite
+def _lps_with_cuts(draw):
+    n = draw(st.integers(1, 3))
+    small = st.integers(-3, 3)
+    m = draw(st.integers(0, 3))
+    rows = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = [draw(st.integers(-1, 3)) for _ in range(m)]
+    c = draw(st.lists(small, min_size=n, max_size=n))
+    lower = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    upper = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cuts = [_cut(draw(st.lists(small, min_size=n, max_size=n)), draw(st.integers(-2, 3)))
+            for _ in range(draw(st.integers(1, 3)))]
+    return rows, rhs, c, lower, upper, cuts
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_lps_with_cuts())
+def test_warm_reoptimisation_agrees_with_cold_solves(lp):
+    rows, rhs, c, lower, upper, cuts = lp
+    base = lp_solve(rows, rhs, c, lower_present=lower, upper_present=upper)
+    assume(base.status is LpStatus.OPTIMAL)
+    _check_warm_against_cold(rows, rhs, c, lower, upper, cuts)
+
+
 class TestCertificate:
     """A tampered certificate raises, checked on real solves."""
 
@@ -395,3 +545,42 @@ class TestCertificate:
     def test_bound_dual_on_a_missing_bound_raises(self):
         with pytest.raises(InternalConsistencyError, match="missing bound"):
             simplex._certify([[1, 3]], [1], [True], [False], [1], [1], 4, 1, [1])
+
+    @staticmethod
+    def _warm_with(monkeypatch, tamper):
+        """Tamper with the certificate of the warm optimum only.
+
+        max 2 x1 + x2 in the unit box, first under the slack row
+        x1 + x2 <= 3 (x = (1, 1)), then with the cut x1 + x2 <= 1 added:
+        x = (1, 0) with multiplier 1 on the cut and bound dual 1 on x1.
+        """
+        original = simplex._certify
+        calls = []
+
+        def tampered(a, cprime, lower, upper, duals, bound_duals, value, den, xnum):
+            calls.append(None)
+            duals, bound_duals = list(duals), list(bound_duals)
+            if len(calls) > 1:
+                tamper(duals, bound_duals, den)
+            original(a, cprime, lower, upper, duals, bound_duals, value, den, xnum)
+
+        monkeypatch.setattr(simplex, "_certify", tampered)
+        box = [True, True]
+        res = lp_solve([[1, 1]], [3], [2, 1], lower_present=box, upper_present=box)
+        return add_cut(res, _cut([1, 1], 1))
+
+    def test_untampered_warm_certificate_passes(self, monkeypatch):
+        res = self._warm_with(monkeypatch, lambda y, w, den: None)
+        assert (res.value, res.point) == (2, (1, 0))
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda y, w, den: y.__setitem__(1, 0), "dual constraint violated"),
+        (lambda y, w, den: y.__setitem__(1, -y[1]), "negative dual multiplier"),
+        (lambda y, w, den: y.__setitem__(0, den), "duality gap"),
+        (lambda y, w, den: w.__setitem__(0, w[0] + den), "duality gap"),
+        (lambda y, w, den: w.__setitem__(0, 0), "dual constraint violated"),
+        (lambda y, w, den: w.__setitem__(0, -w[0]), "bound dual negative"),
+    ])
+    def test_tampered_warm_dual_raises(self, monkeypatch, tamper, message):
+        with pytest.raises(InternalConsistencyError, match=message):
+            self._warm_with(monkeypatch, tamper)
