@@ -10,11 +10,12 @@ for fixed inputs and seeds; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import random
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .closure import ApproxParams, approx_optimize, monotone_presolve
 from .colsep import primal_separate_col
@@ -51,78 +52,138 @@ class _UsageError(Exception):
 
 
 def fmt_frac(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    # str() of an int or a Fraction is already "p" or "p/q"
+    return str(value if type(value) in (int, Fraction) else Fraction(value))
 
 
 def _fmt_vec(values) -> str:
-    return " ".join(fmt_frac(v) for v in values)
+    return " ".join(map(fmt_frac, values))
 
 
 # ------------------------------------------------------------- file formats
 
 
 class _Tokens:
-    """Whitespace-separated tokens with positions; # starts a comment."""
+    """Whitespace-separated tokens; # starts a comment.
+
+    Tokens are plain strings.  For each line that has any, ``firsts`` holds
+    the index of its first token and ``linenos`` the line's index, so the
+    line and column of a token are worked out only for an error message.
+    """
 
     def __init__(self, text: str, source: str):
         self.source = source
-        self.items: list[tuple[str, int, int]] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0]
-            col = 0
-            for tok in line.split():
-                col = line.index(tok, col)
-                self.items.append((tok, lineno, col + 1))
-                col += len(tok)
+        self.lines = text.splitlines()
+        self.tokens: list[str] = []
+        self.firsts: list[int] = []
+        self.linenos: list[int] = []
+        for lineno, line in enumerate(self.lines):
+            words = line.split("#", 1)[0].split()
+            if words:
+                self.firsts.append(len(self.tokens))
+                self.linenos.append(lineno)
+                self.tokens += words
         self.pos = 0
 
-    def _fail(self, message: str, at: tuple[str, int, int] | None) -> FileFormatError:
+    def _fail(self, message: str, at: int | None) -> FileFormatError:
+        """An error at token ``at``, or at the end of the file when it is None."""
         if at is None:
             return FileFormatError(f"{self.source}: {message} at end of file")
-        tok, line, col = at
-        return FileFormatError(f"{self.source}: line {line} column {col}: {message}, found {tok!r}")
+        k = bisect.bisect_right(self.firsts, at) - 1
+        line = self.lines[self.linenos[k]].split("#", 1)[0]
+        col = 0
+        for tok in self.tokens[self.firsts[k]:at + 1]:
+            col = line.index(tok, col) + len(tok)
+        tok = self.tokens[at]
+        where = f"line {self.linenos[k] + 1} column {col - len(tok) + 1}"
+        return FileFormatError(f"{self.source}: {where}: {message}, found {tok!r}")
 
-    def take(self, what: str) -> tuple[str, int, int]:
-        if self.pos >= len(self.items):
+    def take(self, what: str) -> str:
+        if self.pos >= len(self.tokens):
             raise self._fail(f"expected {what}", None)
-        item = self.items[self.pos]
         self.pos += 1
-        return item
+        return self.tokens[self.pos - 1]
 
     def keyword(self, word: str) -> None:
-        item = self.take(word)
-        if item[0] != word:
-            raise self._fail(f"expected {word}", item)
+        if self.take(word) != word:
+            raise self._fail(f"expected {word}", self.pos - 1)
 
     def integer(self, what: str, minimum: int | None = None) -> int:
-        item = self.take(what)
+        tok = self.take(what)
         try:
-            value = int(item[0])
+            value = int(tok)
         except ValueError:
-            raise self._fail(f"expected {what} (an integer)", item) from None
+            raise self._fail(f"expected {what} (an integer)", self.pos - 1) from None
         if minimum is not None and value < minimum:
-            raise self._fail(f"expected {what} of at least {minimum}", item)
+            raise self._fail(f"expected {what} of at least {minimum}", self.pos - 1)
         return value
 
-    def fraction(self, what: str) -> Fraction:
-        item = self.take(what)
+    def integer_run(
+        self, count: int, what: Callable[[int], str]
+    ) -> tuple[list[int], FileFormatError | None]:
+        """The next ``count`` tokens read with ``int()``, up to the first that fails.
+
+        Returns the integers read and the error that stopped the run, or
+        None when all ``count`` were read.  The run is converted in one
+        pass; only a short or bad run is read again token by token, with
+        ``what(k)`` naming entry k, so the error is the one ``integer``
+        gives.
+        """
+        run = self.tokens[self.pos:self.pos + count]
+        if len(run) == count:
+            try:
+                values = list(map(int, run))
+            except ValueError:
+                pass
+            else:
+                self.pos += count
+                return values, None
+        values = []
         try:
-            return Fraction(item[0])
+            for k in range(count):
+                values.append(self.integer(what(k)))
+        except FileFormatError as exc:
+            return values, exc
+        return values, None
+
+    def integers(self, count: int, what: Callable[[int], str]) -> list[int]:
+        values, error = self.integer_run(count, what)
+        if error is not None:
+            raise error
+        return values
+
+    def fraction(self, what: str) -> Fraction:
+        tok = self.take(what)
+        try:
+            return Fraction(tok)
         except (ValueError, ZeroDivisionError):
-            raise self._fail(f"expected {what} (integer or p/q)", item) from None
+            raise self._fail(f"expected {what} (integer or p/q)", self.pos - 1) from None
+
+    def fractions(self, count: int, what: Callable[[int], str]) -> list[Fraction]:
+        """The next ``count`` tokens read with ``Fraction()``.
+
+        A short or bad run is read again token by token, as ``integers`` does.
+        """
+        run = self.tokens[self.pos:self.pos + count]
+        if len(run) == count:
+            try:
+                values = list(map(Fraction, run))
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                self.pos += count
+                return values
+        return [self.fraction(what(k)) for k in range(count)]
 
     def flag(self, what: str) -> bool:
-        item = self.take(what)
-        if item[0] not in ("0", "1"):
-            raise self._fail(f"expected {what} (0 or 1)", item)
-        return item[0] == "1"
+        tok = self.take(what)
+        if tok not in ("0", "1"):
+            raise self._fail(f"expected {what} (0 or 1)", self.pos - 1)
+        return tok == "1"
 
     def finish(self) -> None:
-        if self.pos < len(self.items):
-            raise self._fail("expected end of file", self.items[self.pos])
+        if self.pos < len(self.tokens):
+            raise self._fail("expected end of file", self.pos)
 
 
 def parse_instance(text: str, source: str = "instance") -> IlpInstance:
@@ -132,31 +193,34 @@ def parse_instance(text: str, source: str = "instance") -> IlpInstance:
     t.keyword("COLS")
     n = t.integer("column count", minimum=1)
     t.keyword("A")
-    A = tuple(
-        [tuple([t.integer(f"A[{j + 1}][{i + 1}]") for i in range(n)]) for j in range(m)]
-    )
+    flat = t.integers(m * n, lambda k: f"A[{k // n + 1}][{k % n + 1}]")
+    A = tuple([tuple(flat[j * n:(j + 1) * n]) for j in range(m)])
     t.keyword("B")
-    b = tuple([t.integer(f"B[{j + 1}]") for j in range(m)])
+    b = tuple(t.integers(m, lambda j: f"B[{j + 1}]"))
     t.keyword("LOWER")
     lower = tuple([t.flag(f"LOWER[{i + 1}]") for i in range(n)])
     t.keyword("UPPER")
     upper = tuple([t.flag(f"UPPER[{i + 1}]") for i in range(n)])
     objective = None
-    item = t.take("OBJ or END")
-    if item[0] == "OBJ":
-        objective = tuple([t.integer(f"OBJ[{i + 1}]") for i in range(n)])
-        item = t.take("END")
-    if item[0] != "END":
-        raise t._fail("expected END", item)
+    word = t.take("OBJ or END")
+    if word == "OBJ":
+        objective = tuple(t.integers(n, lambda i: f"OBJ[{i + 1}]"))
+        word = t.take("END")
+    if word != "END":
+        raise t._fail("expected END", t.pos - 1)
     t.finish()
     return IlpInstance(A, b, lower, upper, objective)
 
 
 def parse_point(text: str, n: int, source: str = "point") -> Point:
     t = _Tokens(text, source)
-    pt = tuple([t.fraction(f"coordinate {i + 1}") for i in range(n)])
+    pt = tuple(t.fractions(n, lambda i: f"coordinate {i + 1}"))
     t.finish()
     return pt
+
+
+def _edge_entry(k: int) -> str:
+    return f"edge {k // 3 + 1} {'weight' if k % 3 == 2 else 'endpoint'}"
 
 
 def parse_graph(text: str, source: str = "graph") -> WeightedGraph:
@@ -165,12 +229,12 @@ def parse_graph(text: str, source: str = "graph") -> WeightedGraph:
     k = t.integer("node count", minimum=0)
     t.keyword("EDGES")
     m = t.integer("edge count", minimum=0)
+    # the edges before a bad token are checked before its error is raised
+    flat, bad = t.integer_run(3 * m, _edge_entry)
     edges = []
     first: dict[frozenset[int], int] = {}  # endpoints -> number of the first such edge
-    for e in range(1, m + 1):
-        u = t.integer(f"edge {e} endpoint")
-        v = t.integer(f"edge {e} endpoint")
-        w = t.integer(f"edge {e} weight")
+    triples = iter(flat)
+    for e, (u, v, w) in enumerate(zip(triples, triples, triples), 1):
         if not (1 <= u <= k and 1 <= v <= k):
             raise FileFormatError(f"{source}: edge {e}: endpoints are 1..{k}, got {u} {v}")
         if u == v:
@@ -182,6 +246,8 @@ def parse_graph(text: str, source: str = "graph") -> WeightedGraph:
             )
         first[key] = e
         edges.append((u - 1, v - 1, w))
+    if bad is not None:
+        raise bad
     t.finish()
     return WeightedGraph(k, tuple(edges))
 
@@ -268,6 +334,15 @@ def _cmd_separate(ns) -> int:
     return 0
 
 
+def _fraction_arg(flag: str, text: str, entry: int | None = None) -> Fraction:
+    """A P/Q value from the command line; a bad one is a usage error naming where it is."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        where = flag if entry is None else f"{flag} entry {entry}"
+        raise _UsageError(f"{where}: expected an integer or p/q, found {text!r}") from None
+
+
 def _oracle_separation(ctx) -> SeparationResult:
     cut = brute_primal_separate(ctx)
     if cut is None:
@@ -277,7 +352,7 @@ def _oracle_separation(ctx) -> SeparationResult:
 
 def _cmd_approx(ns) -> int:
     inst = parse_instance(_read(ns.instance), ns.instance)
-    params = ApproxParams(epsilon=Fraction(ns.epsilon), modulus=ns.modulus)
+    params = ApproxParams(epsilon=_fraction_arg("--epsilon", ns.epsilon), modulus=ns.modulus)
     objective = objective_of(inst, nonnegative=True)
     reduced, report = monotone_presolve(inst) if ns.presolve_monotone else (inst, None)
     if reduced is None:
@@ -334,13 +409,17 @@ def _cmd_check(ns) -> int:
         if values is not None and len(values) != count:
             raise _UsageError(f"{flag} has {len(values)} entries, expected {count} (one per {per})")
     if not is_integral(xhat):
-        raise ZeroHalfError(f"xhat {tuple(map(fmt_frac, xhat))} is not integral")
+        raise ZeroHalfError(f"xhat {_fmt_vec(xhat)} is not integral")
     bad = inst.feasibility_failure(xhat)
     if bad is not None:
         raise ZeroHalfError(f"xhat is infeasible: {bad}")
-    lam = tuple([Fraction(v) for v in ns.lam])
-    down = tuple([Fraction(v) for v in ns.mu_down]) if ns.mu_down else (Fraction(0),) * inst.n
-    up = tuple([Fraction(v) for v in ns.mu_up]) if ns.mu_up else (Fraction(0),) * inst.n
+
+    def entries(flag, values):
+        return tuple([_fraction_arg(flag, v, k) for k, v in enumerate(values, 1)])
+
+    lam = entries("--lambda", ns.lam)
+    down = entries("--mu-down", ns.mu_down) if ns.mu_down else (Fraction(0),) * inst.n
+    up = entries("--mu-up", ns.mu_up) if ns.mu_up else (Fraction(0),) * inst.n
     try:
         mult = Multipliers(lam, down, up)
         cut = derive_cut(inst, mult)
@@ -454,8 +533,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        # malformed fractions on the command line
+    except ValueError as exc:
+        # a file that is not UTF-8, or a --rows/--cols too small for a gen profile
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ZeroHalfError as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -89,12 +90,15 @@ class InternalConsistencyError(ZeroHalfError):
 
 
 def as_point(values: Iterable[int | str | Fraction]) -> Point:
-    """Coerce a sequence of ints / 'p/q' strings / Fractions into a Point."""
-    return tuple([Fraction(v) for v in values])
+    """Coerce a sequence of ints / 'p/q' strings / Fractions into a Point.
+
+    Entries that are already exactly ``Fraction`` are kept as they are.
+    """
+    return tuple([v if type(v) is Fraction else Fraction(v) for v in values])
 
 
 def is_integral(point: Sequence[Fraction]) -> bool:
-    return all(Fraction(v).denominator == 1 for v in point)
+    return all(v.denominator == 1 for v in as_point(point))
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ class IlpInstance:
         Both vectors are numerators over ``denom``, the lcm of the denominators of x.
         """
         xnum, denom = scale_point(x)
-        ax = [sum([a * v for a, v in zip(row, xnum)]) for row in self.A]
+        ax = [sum(map(mul, row, xnum)) for row in self.A]
         return [bv * denom - r for bv, r in zip(self.b, ax)], xnum, denom
 
     def slacks(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -155,7 +159,10 @@ class IlpInstance:
         return tuple([Fraction(s, denom) for s in slacks])
 
     def feasibility_failure(self, x: Sequence[Fraction]) -> str | None:
-        """Return a description of the first violated constraint, or None."""
+        """Return a description of the first violated constraint, or None.
+
+        Rows and coordinates are numbered from 1, as in the file formats.
+        """
         if len(x) != self.n:
             raise DimensionMismatchError(f"point has {len(x)} coordinates, instance has {self.n}")
         return _first_failure(self, *self.scaled_slacks(x))
@@ -168,14 +175,14 @@ def scale_point(point: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _first_failure(instance: IlpInstance, slacks: list, xnum: list, denom: int) -> str | None:
-    for j, s in enumerate(slacks):
+    for j, s in enumerate(slacks, 1):
         if s < 0:
             return f"row {j} violated"
     for i, v in enumerate(xnum):
         if instance.lower_present[i] and v < 0:
-            return f"lower bound at coordinate {i} violated"
+            return f"lower bound at coordinate {i + 1} violated"
         if instance.upper_present[i] and v > denom:
-            return f"upper bound at coordinate {i} violated"
+            return f"upper bound at coordinate {i + 1} violated"
     return None
 
 
@@ -203,9 +210,9 @@ class Multipliers:
     modulus: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple([Fraction(v) for v in self.lam]))
-        object.__setattr__(self, "mu_down", tuple([Fraction(v) for v in self.mu_down]))
-        object.__setattr__(self, "mu_up", tuple([Fraction(v) for v in self.mu_up]))
+        object.__setattr__(self, "lam", as_point(self.lam))
+        object.__setattr__(self, "mu_down", as_point(self.mu_down))
+        object.__setattr__(self, "mu_up", as_point(self.mu_up))
         if not isinstance(self.modulus, int) or self.modulus < 2:
             raise MultiplierError(f"modulus {self.modulus!r} out of range")
         if len(self.mu_down) != len(self.mu_up):
@@ -340,7 +347,7 @@ def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> S
             f"points have {len(xhat)}/{len(xstar)} coordinates, instance has {instance.n}"
         )
     if not is_integral(xhat):
-        raise NonIntegralPointError(f"xhat {xhat} is not integral")
+        raise NonIntegralPointError(f"xhat {' '.join(map(str, xhat))} is not integral")
     hat = instance.scaled_slacks(xhat)
     bad = _first_failure(instance, *hat)
     if bad is not None:
@@ -489,15 +496,18 @@ def accept_cut(ctx: SeparationContext, mult: Multipliers, total: int) -> tuple[C
     ``total`` is the candidate's doubled extended slack at xstar, over
     ``ctx.scale``.  The cut must have doubled slack exactly 1 at xhat and
     violation ``(scale - total) / (2 * scale)`` at xstar; anything else is
-    a bug (InternalConsistencyError).
+    a bug (InternalConsistencyError).  The violation is checked in integers:
+    over ``scale`` it is ``coeffs . xnum - rhs * scale``, with ``xnum`` the
+    numerators of xstar.
     """
     cut = derive_cut(ctx.instance, mult)
     if not _tight_nontrivial(ctx, mult):
         raise InternalConsistencyError("accepted cut is not tight at xhat")
-    gap = violation(cut, ctx.xstar)
-    if gap != Fraction(ctx.scale - total, 2 * ctx.scale):
+    xnum, scale = scale_point(ctx.xstar)
+    lhs = sum(map(mul, cut.coeffs, xnum))
+    if 2 * (lhs - cut.rhs * scale) != scale - total:
         raise InternalConsistencyError("candidate cost does not match the violation")
-    return cut, gap
+    return cut, Fraction(scale - total, 2 * scale)
 
 
 def violation(cut: Cut, xstar: Sequence[Fraction]) -> Fraction:

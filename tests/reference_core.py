@@ -49,12 +49,12 @@ def feasibility_failure(instance: IlpInstance, x: Sequence[Fraction]) -> str | N
         raise DimensionMismatchError(f"point has {len(x)} coordinates, instance has {instance.n}")
     for j in range(instance.m):
         if row_value(instance, j, x) > instance.b[j]:
-            return f"row {j} violated"
+            return f"row {j + 1} violated"
     for i in range(instance.n):
         if instance.lower_present[i] and x[i] < 0:
-            return f"lower bound at coordinate {i} violated"
+            return f"lower bound at coordinate {i + 1} violated"
         if instance.upper_present[i] and x[i] > 1:
-            return f"upper bound at coordinate {i} violated"
+            return f"upper bound at coordinate {i + 1} violated"
     return None
 
 
@@ -66,7 +66,7 @@ def compute_context(instance: IlpInstance, xhat: Sequence, xstar: Sequence) -> S
             f"points have {len(xhat)}/{len(xstar)} coordinates, instance has {instance.n}"
         )
     if not is_integral(xhat):
-        raise NonIntegralPointError(f"xhat {xhat} is not integral")
+        raise NonIntegralPointError(f"xhat {' '.join(map(str, xhat))} is not integral")
     bad = feasibility_failure(instance, xhat)
     if bad is not None:
         raise InfeasiblePointError("xhat", bad)

@@ -63,6 +63,16 @@ class TestFormats:
         assert fmt_frac(Fraction(8, 4)) == "2"
         assert fmt_frac(Fraction(-1, 2)) == "-1/2"
 
+    def test_fraction_rendering_of_other_types(self):
+        class Sub(Fraction):
+            def __str__(self):
+                return "sub"
+
+        assert fmt_frac(7) == "7" and fmt_frac(-3) == "-3"
+        assert fmt_frac("6/4") == "3/2"
+        assert fmt_frac(True) == "1"
+        assert fmt_frac(Sub(3, 4)) == "3/4"
+
     def test_instance_round_trip(self):
         inst = triangle_instance(objective=(1, 1, 1))
         assert parse_instance(format_instance(inst)) == inst
@@ -197,6 +207,38 @@ class TestSeparate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("xhat, xstar, message", [
+        ("1/2 1/2 1/2", "1/2 1/2 1/2", "xhat 1/2 1/2 1/2 is not integral"),
+        ("1 1 0", "1/2 1/2 1/2", "xhat infeasible: row 1 violated"),
+        ("1 0 0", "1 1/2 1/2", "xstar infeasible: row 1 violated"),
+        ("1 0 0", "-1/2 0 0", "xstar infeasible: lower bound at coordinate 1 violated"),
+        ("0 0 2", "0 0 0", "xhat infeasible: row 2 violated"),
+        ("0 0 0", "0 0 3/2", "xstar infeasible: row 2 violated"),
+    ])
+    def test_point_errors_read_as_the_files_do(self, k3_paths, tmp_path, capsys,
+                                               xhat, xstar, message):
+        inst, _, _ = k3_paths
+        (tmp_path / "h").write_text(xhat + "\n")
+        (tmp_path / "s").write_text(xstar + "\n")
+        argv = ["separate", "--instance", inst, "--xhat", str(tmp_path / "h"),
+                "--xstar", str(tmp_path / "s")]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_upper_bound_is_numbered_from_one(self, tmp_path, capsys):
+        text = "ROWS 1\nCOLS 2\nA\n1 1\nB\n5\nLOWER\n1 1\nUPPER\n0 1\nEND\n"
+        inst = tmp_path / "box.inst"
+        inst.write_text(text)
+        (tmp_path / "h").write_text("0 0\n")
+        (tmp_path / "s").write_text("3 3/2\n")
+        argv = ["separate", "--instance", str(inst), "--xhat", str(tmp_path / "h"),
+                "--xstar", str(tmp_path / "s")]
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: xstar infeasible: upper bound at coordinate 2 violated\n"
+        )
+
     def test_missing_file_exits_1(self, k3_paths):
         inst, xhat, _ = k3_paths
         code = run_command(
@@ -281,6 +323,16 @@ class TestApprox:
     def test_bad_epsilon_is_usage(self, k3_paths):
         inst, _, _ = k3_paths
         assert run_command(["approx", "--instance", inst, "--epsilon", "x"]) == 1
+
+    @pytest.mark.parametrize("epsilon", ["1/0", "x"])
+    def test_bad_epsilon_names_the_flag(self, k3_paths, capsys, epsilon):
+        inst, _, _ = k3_paths
+        assert run_command(["approx", "--instance", inst, "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: --epsilon: expected an integer or p/q, found {epsilon!r}\n"
+        )
 
     def test_nonpositive_epsilon_is_precondition(self, k3_paths):
         inst, _, _ = k3_paths
@@ -405,6 +457,35 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == f"usage error: {expected}\n"
 
+    @pytest.mark.parametrize("extra, expected", [
+        (["--lambda", "1/2", "1/0", "1/2"], "--lambda entry 2: expected an integer or p/q, found '1/0'"),
+        (["--lambda", "0", "0", "0", "--mu-down", "1/0", "0", "0"],
+         "--mu-down entry 1: expected an integer or p/q, found '1/0'"),
+        (["--lambda", "0", "0", "0", "--mu-up", "0", "0", "x"],
+         "--mu-up entry 3: expected an integer or p/q, found 'x'"),
+    ])
+    def test_bad_multiplier_names_the_flag_and_entry(self, k3_paths, capsys, extra, expected):
+        inst, xhat, _ = k3_paths
+        code = run_command(["check", "--instance", inst, "--xhat", xhat] + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert (captured.out, captured.err) == ("", f"usage error: {expected}\n")
+
+    @pytest.mark.parametrize("point, message", [
+        ("1/2 0 0", "xhat 1/2 0 0 is not integral"),
+        ("0 1 1", "xhat is infeasible: row 3 violated"),
+    ])
+    def test_point_errors_read_as_the_file_does(self, k3_paths, tmp_path, capsys, point,
+                                                message):
+        inst, _, _ = k3_paths
+        xhat = tmp_path / "h"
+        xhat.write_text(point + "\n")
+        code = run_command(["check", "--instance", inst, "--xhat", str(xhat),
+                            "--lambda", "1/2", "1/2", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_non_tight_cut_reported(self, k3_paths, tmp_path, capsys):
         inst, _, _ = k3_paths
         origin = tmp_path / "origin"
@@ -468,6 +549,29 @@ class TestGen:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("profile, rows, cols", [("col2", "1", "3"), ("row2", "3", "1")])
+    def test_size_too_small_for_profile_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, profile, rows, cols
+    ):
+        # a profile that puts two odd entries in a column (row) needs two
+        # rows (columns); whether a seed asks for two is up to the draw
+        monkeypatch.chdir(tmp_path)
+        codes = set()
+        for seed in range(1, 7):
+            argv = ["gen", "--seed", str(seed), "--rows", rows, "--cols", cols,
+                    "--profile", profile, "--out", f"c{seed}"]
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            codes.add(code)
+            if code == 1:
+                assert captured.err.startswith("usage error: ")
+                assert captured.err.count("\n") == 1
+                assert captured.out == ""
+            else:
+                assert code == 0 and captured.err == ""
+        assert codes == {0, 1}
+
+
 class TestGarbage:
     """Commands free what they allocate by reference counting alone.
 
@@ -515,6 +619,25 @@ class TestUsage:
 
     def test_missing_required_option(self):
         assert run_command(["separate"]) == 1
+
+    @pytest.mark.parametrize("which", ["instance", "xhat", "graph"])
+    def test_file_not_utf8_is_usage_error(self, k3_paths, tmp_path, capsys, which):
+        inst, xhat, xstar = k3_paths
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe ROWS 1\n")
+        if which == "graph":
+            argv = ["match", "--graph", str(binary)]
+        else:
+            paths = {"instance": inst, "xhat": xhat, which: str(binary)}
+            argv = ["separate", "--instance", paths["instance"], "--xhat", paths["xhat"],
+                    "--xstar", xstar]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "usage error: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+        assert captured.out == ""
 
     def test_help_exits_0(self, capsys):
         assert run_command(["--help"]) == 0

@@ -14,10 +14,12 @@ from zerohalf.core import (
     MultiplierError,
     NonIntegralCutError,
     NonIntegralPointError,
+    accept_cut,
     as_point,
     compute_context,
     derive_cut,
     extended_slack,
+    is_integral,
     is_tight_nontrivial,
     parity_profile,
     selection_multipliers,
@@ -54,6 +56,16 @@ class TestComputeContext:
         with pytest.raises(InfeasiblePointError) as e:
             compute_context(triangle, (1, 0, 0), (1, 1, 1))
         assert e.value.role == "xstar"
+
+    def test_point_errors_read_as_the_files_do(self, triangle):
+        # points as "p/q" tokens, rows and coordinates numbered from 1
+        with pytest.raises(NonIntegralPointError, match=r"^xhat 1/2 0 0 is not integral$"):
+            compute_context(triangle, (HALF, 0, 0), (0, 0, 0))
+        with pytest.raises(InfeasiblePointError, match=r"^xhat infeasible: row 1 violated$"):
+            compute_context(triangle, (1, 1, 0), (0, 0, 0))
+        assert triangle.feasibility_failure((0, 0, -HALF)) == (
+            "lower bound at coordinate 3 violated"
+        )
 
     def test_dimension_mismatch(self, triangle):
         with pytest.raises(DimensionMismatchError):
@@ -132,6 +144,71 @@ class TestDeriveCut:
     def test_modulus_must_be_an_integer_of_at_least_two(self, modulus):
         with pytest.raises(MultiplierError, match="modulus"):
             Multipliers((HALF,), (0,), (0,), modulus)
+
+
+class _Half(Fraction):
+    """A Fraction subclass: entries of this type are still rewrapped."""
+
+
+class TestNormalisation:
+    """Exact Fractions are kept as they are; anything else becomes one."""
+
+    MIXED = (_Half(1, 2), 0, "1/2", Fraction(0))
+
+    def test_point_entries_become_fractions(self):
+        point = as_point(self.MIXED)
+        assert point == (HALF, 0, HALF, 0)
+        assert all(type(v) is Fraction for v in point)
+        exact = Fraction(3, 4)
+        assert as_point([exact])[0] is exact
+
+    def test_multiplier_entries_become_fractions(self):
+        mult = Multipliers(self.MIXED, (0, "0", _Half(1, 2)), ("1/2", _Half(0), 0))
+        for values in (mult.lam, mult.mu_down, mult.mu_up):
+            assert all(type(v) is Fraction for v in values)
+        assert mult == Multipliers((HALF, 0, HALF, 0), (0, 0, HALF), (HALF, 0, 0))
+
+    def test_integrality_of_mixed_entries(self):
+        assert is_integral((_Half(2, 1), 3, "4/2", Fraction(1)))
+        assert not is_integral((0, "1/2"))
+        assert not is_integral((_Half(1, 3),))
+
+
+class TestAcceptCut:
+    def test_blossom_is_certified_with_its_violation(self, triangle, triangle_points):
+        ctx = compute_context(triangle, *triangle_points)
+        mult = Multipliers.from_support(3, 3, lam_rows=(0, 1, 2))
+        # doubled slack at xstar = (1/2, 1/2, 1/2): each row has slack 0
+        cut, gap = accept_cut(ctx, mult, 0)
+        assert cut == derive_cut(triangle, mult)
+        assert gap == violation(cut, ctx.xstar) == HALF
+        assert type(gap) is Fraction
+
+    @pytest.mark.parametrize("total", [1, -1, 2, 7])
+    def test_a_corrupted_total_is_caught(self, triangle, triangle_points, total):
+        ctx = compute_context(triangle, *triangle_points)
+        mult = Multipliers.from_support(3, 3, lam_rows=(0, 1, 2))
+        with pytest.raises(InternalConsistencyError, match="does not match the violation"):
+            accept_cut(ctx, mult, total)
+
+    def test_a_cut_not_tight_at_xhat_is_caught(self, triangle):
+        ctx = compute_context(triangle, (0, 0, 0), (HALF, HALF, HALF))
+        with pytest.raises(InternalConsistencyError, match="not tight"):
+            accept_cut(ctx, Multipliers.from_support(3, 3, lam_rows=(0, 1, 2)), 0)
+
+    def test_violation_over_a_mixed_denominator(self):
+        # xstar = (1/3, 1/6) has scale 6; the cut x0 + x1 <= 0 of row 0
+        inst = IlpInstance(((2, 2), (1, -1)), (1, 5), (True, True), (True, True))
+        ctx = compute_context(inst, (0, 0), (Fraction(1, 3), Fraction(1, 6)))
+        mult = Multipliers.from_support(2, 2, lam_rows=(0,))
+        cut = derive_cut(inst, mult)
+        assert (cut.coeffs, cut.rhs) == ((1, 1), 0)
+        want = violation(cut, ctx.xstar)
+        total = ctx.scale - 2 * ctx.scale * want
+        assert ctx.scale == 6
+        assert accept_cut(ctx, mult, total)[1] == want == HALF
+        with pytest.raises(InternalConsistencyError):
+            accept_cut(ctx, mult, total + 1)
 
 
 class TestTightNontrivial:
