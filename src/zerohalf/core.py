@@ -222,7 +222,7 @@ class Multipliers:
         _grid_check(self.mu_up, self.modulus, "mu_up")
         for i, (d, u) in enumerate(zip(self.mu_down, self.mu_up)):
             if d and u:
-                raise MultiplierError(f"mu_down and mu_up both nonzero at coordinate {i}")
+                raise MultiplierError(f"mu_down and mu_up both nonzero at coordinate {i + 1}")
 
     @classmethod
     def from_support(
@@ -403,9 +403,9 @@ def _check_bound_usage(instance: IlpInstance, mult: Multipliers) -> None:
         raise DimensionMismatchError(f"mu vectors have {len(mult.mu_down)} entries for {instance.n} columns")
     for i in range(instance.n):
         if mult.mu_down[i] and not instance.lower_present[i]:
-            raise MultiplierError(f"mu_down[{i}] used but the lower bound is absent")
+            raise MultiplierError(f"mu_down used at coordinate {i + 1} but the lower bound is absent")
         if mult.mu_up[i] and not instance.upper_present[i]:
-            raise MultiplierError(f"mu_up[{i}] used but the upper bound is absent")
+            raise MultiplierError(f"mu_up used at coordinate {i + 1} but the upper bound is absent")
 
 
 def _numerators(values: Sequence[Fraction], q: int) -> list[int]:
@@ -433,7 +433,7 @@ def cut_numerators(instance: IlpInstance, lam, down, up, q: int) -> tuple[tuple[
         coeff, rest = divmod(c - d + u, q)
         if rest:
             raise NonIntegralCutError(
-                f"coefficient {Fraction(c - d + u, q)} at coordinate {i} is not integral"
+                f"coefficient {Fraction(c - d + u, q)} at coordinate {i + 1} is not integral"
             )
         coeffs.append(coeff)
     return tuple(coeffs), _rhs_num(instance, lam, up) // q

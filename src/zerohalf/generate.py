@@ -1,10 +1,13 @@
 """Seeded random cases for the test suites and the gen subcommand.
 
 All generators take an explicit random.Random so identical seeds give
-identical cases.  Instances are built backwards from a feasible integral
-point: the right-hand side is the row value at that point plus a small
-slack drawn from {0, 1, 2}, which guarantees feasibility and produces a
-healthy mix of tight, slack-one and slack-two rows.
+identical cases.  Primal cases are built backwards from their points: the
+integral xhat, a fractional xstar near it and the parity pattern are drawn
+first, then each row on its own.  A row's right-hand side is its value at
+xhat plus a slack drawn once from {0, 1, 2}, which gives a healthy mix of
+tight, slack-one and slack-two rows; its entries are redrawn until xstar
+satisfies it too.  Rejecting one row at a time, not whole instances, keeps
+the cost linear in the number of rows.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ PROFILES = ("col2", "row2", "mixed")
 
 _ODD = (1, 1, 3, -1)
 _EVEN = (0, 0, 0, 2, -2)
+_MIXED = (-2, -1, 0, 0, 1, 1, 2, 3)
+_SLACK = (0, 0, 1, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -29,44 +34,26 @@ class PrimalCase:
     xstar: Point
 
 
-def _matrix(rng: random.Random, m: int, n: int, profile: str) -> tuple[tuple[int, ...], ...]:
+def _odd_pattern(rng: random.Random, m: int, n: int, profile: str) -> list[list[bool]] | None:
+    """Which entries of A are odd: at most two per column (col2) or row (row2).
+
+    None for mixed, which applies no parity control.
+    """
     if profile == "col2":
-        cols = []
-        for _ in range(n):
-            odd = rng.sample(range(m), rng.randrange(0, 3))
-            cols.append(
-                [rng.choice(_ODD) if j in odd else rng.choice(_EVEN) for j in range(m)]
-            )
-        return tuple(tuple(cols[i][j] for i in range(n)) for j in range(m))
+        odd = [[False] * n for _ in range(m)]
+        for i in range(n):
+            for j in rng.sample(range(m), rng.randrange(0, 3)):
+                odd[j][i] = True
+        return odd
     if profile == "row2":
-        rows = []
+        odd = []
         for _ in range(m):
-            odd = rng.sample(range(n), rng.randrange(0, 3))
-            rows.append(
-                tuple(rng.choice(_ODD) if i in odd else rng.choice(_EVEN) for i in range(n))
-            )
-        return tuple(rows)
+            cols = rng.sample(range(n), rng.randrange(0, 3))
+            odd.append([i in cols for i in range(n)])
+        return odd
     if profile == "mixed":
-        return tuple(
-            tuple(rng.choice((-2, -1, 0, 0, 1, 1, 2, 3)) for _ in range(n))
-            for _ in range(m)
-        )
+        return None
     raise ZeroHalfError(f"unknown profile {profile!r}; expected one of {PROFILES}")
-
-
-def _fractional_point(rng: random.Random, inst: IlpInstance, xhat) -> Point | None:
-    """A feasible fractional point near xhat, or None after 80 tries."""
-    for _ in range(80):
-        pt = []
-        for i in range(inst.n):
-            step = Fraction(rng.choice((0, 0, 1, 1, 2)), 4)
-            pt.append(Fraction(xhat[i]) + (step if xhat[i] == 0 else -step))
-        pt = tuple(pt)
-        if all(v.denominator == 1 for v in pt):
-            continue
-        if inst.feasibility_failure(pt) is None:
-            return pt
-    return None
 
 
 def gen_primal_case(
@@ -85,22 +72,35 @@ def gen_primal_case(
     for name, size in (("rows", rows), ("cols", cols)):
         if size is not None and size < 1:
             raise ZeroHalfError(f"{name} must be at least 1, got {size}")
-    for _ in range(200):
-        m = rows if rows is not None else rng.randrange(2, 9)
-        n = cols if cols is not None else rng.randrange(2, 7)
-        A = _matrix(rng, m, n, profile)
-        lower = tuple(rng.random() < 0.85 for _ in range(n))
-        upper = tuple(rng.random() < 0.85 for _ in range(n))
-        xhat = tuple(Fraction(rng.randrange(2)) for _ in range(n))
-        b = tuple(
-            sum(a * x for a, x in zip(row, xhat)) + rng.choice((0, 0, 1, 1, 2))
-            for row in A
-        )
-        inst = IlpInstance(A, b, lower, upper)
-        xstar = _fractional_point(rng, inst, xhat)
-        if xstar is not None:
-            return PrimalCase(inst, xhat, xstar)
-    raise ZeroHalfError("no fractional feasible point found; sizes too tight")
+    m = rows if rows is not None else rng.randrange(2, 9)
+    n = cols if cols is not None else rng.randrange(2, 7)
+    xhat = [rng.randrange(2) for _ in range(n)]
+    steps = [0] * n
+    while not any(steps):
+        steps = [rng.choice((0, 0, 1, 1, 2)) for _ in range(n)]
+    # xstar in quarters, stepped from xhat into the box
+    num4 = [4 * h + (s if h == 0 else -s) for h, s in zip(xhat, steps)]
+    odd = _odd_pattern(rng, m, n, profile)
+    A, b = [], []
+    for j in range(m):
+        slack = rng.choice(_SLACK)
+        for _ in range(1000):
+            if odd is None:
+                row = tuple(rng.choice(_MIXED) for _ in range(n))
+            else:
+                row = tuple(rng.choice(_ODD if o else _EVEN) for o in odd[j])
+            rhs = sum(a * x for a, x in zip(row, xhat)) + slack
+            if sum(a * x for a, x in zip(row, num4)) <= 4 * rhs:
+                break
+        else:
+            raise ZeroHalfError(f"row {j + 1} admitted xstar in none of 1000 draws")
+        A.append(row)
+        b.append(rhs)
+    lower = tuple(rng.random() < 0.85 for _ in range(n))
+    upper = tuple(rng.random() < 0.85 for _ in range(n))
+    inst = IlpInstance(tuple(A), tuple(b), lower, upper)
+    return PrimalCase(inst, tuple([Fraction(h) for h in xhat]),
+                      tuple([Fraction(v, 4) for v in num4]))
 
 
 def gen_sandwich_case(rng: random.Random) -> IlpInstance:

@@ -1,8 +1,8 @@
 """Exact rational LP solver.
 
-Dense two-phase simplex with Bland's pivot rule, so termination needs no
-tolerances and results are deterministic.  Constraints are ``a . x <= rhs``
-rows plus the 0/1 box, given per coordinate by the flags ``lower_present``
+Dense simplex with Bland's pivot rule, so termination needs no tolerances
+and results are deterministic.  Constraints are ``a . x <= rhs`` rows plus
+the 0/1 box, given per coordinate by the flags ``lower_present``
 (``0 <= x_i``) and ``upper_present`` (``x_i <= 1``) as ``IlpInstance``
 names them; callers encode equations as inequality pairs.  The box takes no
 row: a coordinate with its lower bound is one nonnegative column, one
@@ -24,13 +24,29 @@ The tableau holds Python integers over one common denominator ``D``, the
 absolute determinant of the current basis (integer-preserving pivoting,
 Edmonds 1967; Bareiss 1968).  Each input row and the objective are first
 scaled by the lcm of their denominators.  A positive row scale only
-rescales that row's slack and artificial variable, so reduced-cost signs
-and ratio orderings, and with them Bland's pivot path, are those of the
-rational tableau.  Pivoting on ``p = T[r][c]`` keeps row ``r`` and sets
-every other row (the objective row included) to
-``(T[i] * p - T[i][c] * T[r]) / D``, a division that is always exact;
-``p`` becomes the new ``D``.  Fractions are built only for the returned
-value and point.
+rescales that row's slack variable, so reduced-cost signs and ratio
+orderings, and with them Bland's pivot path, are those of the rational
+tableau.  Pivoting on ``p = T[r][c]`` keeps row ``r`` and sets every other
+row (the objective row included) to ``(T[i] * p - T[i][c] * T[r]) / D``, a
+division that is always exact; ``p`` becomes the new ``D``.  Fractions are
+built only for the returned value and point.
+
+Dual simplex.  On a dual feasible tableau (no positive reduced cost),
+bounded dual simplex pivots restore primal feasibility: a basic variable
+above its bound of 1 has its row complemented first, the leaving row is
+the infeasible one with the smallest basic index, and the entering column
+has the smallest ratio ``-obj[j] / -T[r][j]`` over the columns with
+``T[r][j] < 0``, ties to the smallest ``j`` (Bland's rule applied to the
+dual, so it cannot cycle).  A leaving row with no entering column proves
+the LP infeasible.  The ratio of two entries of one column does not change
+with that column's scale, so this path too is that of the rational tableau.
+
+Phase 1.  A cold solve starts from the slack basis with ``D = 1``.  When a
+right-hand side is negative, the cost clipped at 0 (``min(c_j, 0)`` for
+each column) is dual feasible there, and dual simplex pivots on it reach a
+feasible basis or prove that there is none (the cost-modification phase 1
+of Koberstein & Suhl 2007).  The real cost is then priced on that basis
+and phase 2 runs as usual.  No artificial column is ever added.
 
 Warm re-optimisation.  An optimal result carries its final tableau, and
 ``add_cut`` adds one row ``a . x <= b`` to it without solving from scratch
@@ -40,13 +56,8 @@ orientation and over the same ``D``, then reduced against the basis with
 integer row operations, ``D * row - row[b] * T[r]`` for each basic column
 ``b`` in row ``r``; its new slack is basic in it with entry ``D``.  The new
 basis has the same determinant, so ``D`` and the exact division of later
-pivots carry over.  The old basis stays dual feasible, so bounded dual
-simplex pivots restore primal feasibility: a basic variable above its bound
-of 1 has its row complemented first, the leaving row is the infeasible one
-with the smallest basic index, and the entering column has the smallest
-ratio ``-obj[j] / -T[r][j]`` over the allowed columns with ``T[r][j] < 0``,
-ties to the smallest ``j`` (Bland's rule applied to the dual, so it cannot
-cycle).  A leaving row with no entering column proves the LP infeasible.
+pivots carry over.  The old basis stays dual feasible, so the dual simplex
+restores primal feasibility.
 
 Every optimum, cold or warm, is certified before returning: the row
 multipliers and the bound duals of the flipped columns are read off the
@@ -82,21 +93,18 @@ class LpState:
     """Final integer tableau of an optimal solve, the starting point of ``add_cut``.
 
     Columns are the structural ones (``x_i``, then ``x-_i`` of the free
-    coordinates), the slacks of the input rows, the phase-1 artificials
-    (never allowed again) and the slacks of added rows, then the
-    right-hand side.  ``slacks[j]`` is the column of row j's slack, ``a``
-    holds the scaled rows with their right-hand sides last, in input
-    coordinates, and ``cprime`` the objective scaled by ``cscale``.
+    coordinates), then one slack per row in row order (the input rows, then
+    the added ones), then the right-hand side.  ``a`` holds the scaled rows
+    with their right-hand sides last, in input coordinates, and ``cprime``
+    the objective scaled by ``cscale``.
     """
 
     tab: list[list[int]]
     basis: list[int]
     den: int
     obj: list[int]
-    allowed: list[bool]
     has_upper: list[bool]
     flipped: list[bool]
-    slacks: list[int]
     a: list[list[int]]
     cprime: list[int]
     cscale: int
@@ -171,8 +179,7 @@ def _flip(tab: list[list[int]], obj: list[int], col: int) -> None:
             row[-1] -= v
 
 
-def _run_simplex(tab, basis, den: int, obj, allowed, has_upper,
-                 flipped) -> tuple[bool, int, int]:
+def _run_simplex(tab, basis, den: int, obj, has_upper, flipped) -> tuple[bool, int, int]:
     """Bland pivoting until optimal (True) or unbounded (False).
 
     Also returns the final D and the number of pivots and bound flips.
@@ -186,7 +193,7 @@ def _run_simplex(tab, basis, den: int, obj, allowed, has_upper,
     while True:
         enter = -1
         for j in range(width):
-            if allowed[j] and obj[j] > 0:
+            if obj[j] > 0:
                 enter = j
                 break
         if enter < 0:
@@ -264,81 +271,44 @@ def lp_solve(
     if len(lower) != n or len(upper) != n:
         raise ValueError("box flags do not match objective length")
     # a[j] = row j and rhs j scaled to integers by s_j > 0
-    scaled = [_integer_row(list(rows[j]) + [rhs[j]]) for j in range(m)]
-    a = [row for row, _ in scaled]
+    a = [_integer_row(list(rows[j]) + [rhs[j]])[0] for j in range(m)]
     # maximize cprime, the objective scaled to integers by cscale > 0
     cprime, cscale = _integer_row(objective)
 
     # columns: x_i (x+_i for a free coordinate), then x-_i of the free
-    # coordinates, the slacks and the artificials
+    # coordinates and the slacks, which form the starting basis with D = 1
     free = [i for i in range(n) if not lower[i]]
     struct = n + len(free)
     width = struct + m
-
-    negated = [a[j][-1] < 0 for j in range(m)]
-    art_rows = [j for j in range(m) if negated[j]]
-    total = width + len(art_rows)
-
     tab: list[list[int]] = []
     for j in range(m):
-        body = a[j][:n] + [-a[j][i] for i in free]
-        slack = [0] * m
-        slack[j] = 1
-        b = a[j][-1]
-        if negated[j]:
-            body = [-v for v in body]
-            slack[j] = -1
-            b = -b
-        tab.append(body + slack + [0] * len(art_rows) + [b])
-    for k, j in enumerate(art_rows):
-        tab[j][width + k] = 1
-
-    basis = [width + art_rows.index(j) if negated[j] else struct + j for j in range(m)]
-    allowed = [True] * total
-    has_upper = upper + [False] * (total - n)
-    flipped = [False] * total
+        row = a[j][:n] + [-a[j][i] for i in free] + [0] * m + [a[j][-1]]
+        row[struct + j] = 1
+        tab.append(row)
+    basis = list(range(struct, width))
+    has_upper = upper + [False] * (width - n)
+    flipped = [False] * width
     den = 1
     pivots = 0
+    cost = cprime + [-cprime[i] for i in free] + [0] * m
 
-    if art_rows:
-        # Artificial k carries s_j times its rational counterpart, so the
-        # phase-1 cost -L/s_j (L the lcm of those scales) is L times the
-        # rational phase-1 objective and keeps every reduced-cost sign.
-        art_lcm = lcm(*[scaled[j][1] for j in art_rows])
-        cost1 = [0] * total
-        for k, j in enumerate(art_rows):
-            cost1[width + k] = -(art_lcm // scaled[j][1])
-        obj = _price(tab, basis, den, cost1)
-        bounded, den, pivots = _run_simplex(tab, basis, den, obj, allowed, has_upper, flipped)
-        if not bounded:
-            raise InternalConsistencyError("phase 1 cannot be unbounded")
-        if obj[-1] > 0:
+    if any(row[-1] < 0 for row in tab):
+        # phase 1: the cost clipped at 0 is dual feasible at the slack basis
+        obj = _price(tab, basis, den, [min(c, 0) for c in cost])
+        feasible, den, pivots = _run_dual_simplex(tab, basis, den, obj, has_upper, flipped)
+        if not feasible:
             return LpResult(LpStatus.INFEASIBLE, pivots=pivots)
-        # Drive leftover artificials out of the basis.  The slack columns
-        # are a signed identity, so no row is zero on the first width
-        # columns and no row is ever redundant.
-        for r in range(len(tab)):
-            if basis[r] >= width:
-                pcol = next((j for j in range(width) if tab[r][j] != 0), None)
-                if pcol is None:
-                    raise InternalConsistencyError("tableau row vanished on the slack columns")
-                den = _pivot(tab, basis, den, r, pcol)
-                pivots += 1
-        for k in range(len(art_rows)):
-            allowed[width + k] = False
 
     # the objective in the columns' current orientation: a flipped column
     # 1 - x_j carries -c_j and moves c_j into the constant term
-    cost2 = [0] * total
-    cost2[:struct] = [-c if f else c for c, f in zip(cprime, flipped)] + [-cprime[i] for i in free]
-    obj = _price(tab, basis, den, cost2)
-    obj[-1] -= den * sum([c for c, f in zip(cprime, flipped) if f])
-    bounded, den, steps = _run_simplex(tab, basis, den, obj, allowed, has_upper, flipped)
+    obj = _price(tab, basis, den, [-c if f else c for c, f in zip(cost, flipped)])
+    obj[-1] -= den * sum([c for c, f in zip(cost, flipped) if f])
+    bounded, den, steps = _run_simplex(tab, basis, den, obj, has_upper, flipped)
     pivots += steps
     if not bounded:
         return LpResult(LpStatus.UNBOUNDED, pivots=pivots)
-    state = LpState(tab, basis, den, obj, allowed, has_upper, flipped,
-                    list(range(struct, width)), a, cprime, cscale, lower, upper, free)
+    state = LpState(tab, basis, den, obj, has_upper, flipped, a, cprime, cscale, lower, upper,
+                    free)
     return _optimum(state, pivots)
 
 
@@ -357,7 +327,7 @@ def _optimum(state: LpState, pivots: int) -> LpResult:
     for k, i in enumerate(state.free):
         xnum[i] -= values[n + k]
 
-    duals = [-obj[col] for col in state.slacks]
+    duals = [-v for v in obj[struct:-1]]
     bound_duals = [-obj[i] if flipped[i] else 0 for i in range(n)]
     _certify(state.a, state.cprime, state.lower, state.upper, duals, bound_duals, -obj[-1],
              den, xnum)
@@ -425,28 +395,26 @@ def add_cut(res: LpResult, cut: Cut) -> LpResult:
         if f:
             new = [x - f * t for x, t in zip(new, tab[r])]
     tab.append(new)
-    state = LpState(
-        tab, old.basis + [col], den, [*old.obj[:-1], 0, old.obj[-1]],
-        old.allowed + [True], old.has_upper + [False], old.flipped + [False],
-        old.slacks + [col], old.a + [arow], old.cprime, old.cscale, old.lower, old.upper,
-        old.free,
-    )
-    feasible, pivots = _run_dual_simplex(state)
+    basis = old.basis + [col]
+    obj = [*old.obj[:-1], 0, old.obj[-1]]
+    flipped = old.flipped + [False]
+    has_upper = old.has_upper + [False]
+    feasible, den, pivots = _run_dual_simplex(tab, basis, den, obj, has_upper, flipped)
     if not feasible:
         raise LpInfeasibleError("the relaxation is empty")
+    state = LpState(tab, basis, den, obj, has_upper, flipped, old.a + [arow], old.cprime,
+                    old.cscale, old.lower, old.upper, old.free)
     return _optimum(state, pivots)
 
 
-def _run_dual_simplex(state: LpState) -> tuple[bool, int]:
-    """Dual Bland pivoting on a dual feasible tableau until primal feasible.
+def _run_dual_simplex(tab, basis, den: int, obj, has_upper,
+                      flipped) -> tuple[bool, int, int]:
+    """Dual Bland pivoting on a dual feasible tableau until primal feasible (True).
 
     Returns False when a leaving row has no entering column, which proves
-    the LP infeasible, and the number of pivots either way; updates
-    ``state`` in place.
+    the LP infeasible; also returns the final D and the number of pivots.
+    Takes the arguments of ``_run_simplex`` and updates them in place.
     """
-    tab, basis, obj = state.tab, state.basis, state.obj
-    allowed, has_upper, flipped = state.allowed, state.has_upper, state.flipped
-    den = state.den
     width = len(obj) - 1
     pivots = 0
     while True:
@@ -457,7 +425,7 @@ def _run_dual_simplex(state: LpState) -> tuple[bool, int]:
                     leave < 0 or basis[r] < basis[leave]):
                 leave = r
         if leave < 0:
-            return True, pivots
+            return True, den, pivots
         row = tab[leave]
         if row[-1] > den:
             _complement(row, basis[leave], den, flipped)
@@ -467,11 +435,11 @@ def _run_dual_simplex(state: LpState) -> tuple[bool, int]:
         best_num = best_den = 0
         for j in range(width):
             t = row[j]
-            if t < 0 and allowed[j] and (enter < 0 or obj[j] * best_den < best_num * t):
+            if t < 0 and (enter < 0 or obj[j] * best_den < best_num * t):
                 enter, best_num, best_den = j, obj[j], t
         if enter < 0:
-            return False, pivots
-        state.den = den = _pivot(tab, basis, den, leave, enter, obj)
+            return False, den, pivots
+        den = _pivot(tab, basis, den, leave, enter, obj)
         pivots += 1
 
 
@@ -480,10 +448,9 @@ def _certify(a, cprime, lower, upper, duals, bound_duals, value, den, xnum):
 
     ``a`` holds the scaled rows with their right-hand sides last; every
     other argument is over the common denominator ``den``.  The multiplier
-    of row j is the negated reduced cost of its slack column, unaffected by
-    rows that were flipped for phase 1 because flipping negates both the
-    column and the multiplier.  The bound dual of ``x_i <= 1`` is the
-    negated reduced cost of a flipped column and 0 otherwise.  Checks dual
+    of row j is the negated reduced cost of its slack column.  The bound
+    dual of ``x_i <= 1`` is the negated reduced cost of a flipped column and
+    0 otherwise.  Checks dual
     feasibility (``y, w >= 0``, ``yA + w >= c`` with equality on free
     coordinates), that the dual value ``y.b + sum(w)`` and the point's value
     both equal ``value``, and that the point satisfies the rows and the box.

@@ -135,7 +135,7 @@ def derive_cut(instance: IlpInstance, mult: Multipliers) -> Cut:
         c = sum((mult.lam[j] * instance.A[j][i] for j in range(instance.m)), Fraction(0))
         c = c - mult.mu_down[i] + mult.mu_up[i]
         if c.denominator != 1:
-            raise NonIntegralCutError(f"coefficient {c} at coordinate {i} is not integral")
+            raise NonIntegralCutError(f"coefficient {c} at coordinate {i + 1} is not integral")
         coeffs.append(int(c))
     rhs_exact = unfloored_rhs(instance, mult)
     rhs = rhs_exact.numerator // rhs_exact.denominator  # floor

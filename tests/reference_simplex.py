@@ -1,12 +1,17 @@
 """Reference LP solver for differential tests: the dense Fraction tableau.
 
 This is the solver ``zerohalf.simplex`` used before it moved to integer
-pivoting over a common denominator.  It follows the same two phases and
-Bland's rule on the same tableau, so the package solver must return the
-same ``LpResult`` (status, value and point) on every input.  Kept only as a
-test oracle; nothing in the package imports it.
+pivoting over a common denominator.  ``lp_solve`` follows the same phases
+and Bland's rule on the same tableau: phase 1 runs dual simplex pivots on
+the cost clipped at 0 from the slack basis, phase 2 primal pivots on the
+real cost.  The package solver must return the same ``LpResult`` (status,
+value and point) on every input.  ``two_phase_lp_solve`` reaches its
+feasible basis instead by the primal phase 1 over artificial columns that
+the package solver used before; it is a second oracle for status and value
+only, since on tied optima it may end at another vertex.  Kept only as test
+oracles; nothing in the package imports them.
 
-It takes no box: ``box_rows`` writes the 0/1 bounds that the package solver
+They take no box: ``box_rows`` writes the 0/1 bounds that the package solver
 handles natively as explicit rows, which is how the package itself passed
 them before the bounded ratio test.
 """
@@ -41,16 +46,15 @@ def box_rows(
     return rows, rhs
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int,
+           obj: list[Fraction] | None = None) -> None:
     inv = 1 / tab[row][col]
     tab[row] = [v * inv for v in tab[row]]
     prow = tab[row]
-    for r in range(len(tab)):
-        if r == row:
-            continue
-        factor = tab[r][col]
-        if factor:
-            tab[r] = [a - factor * b for a, b in zip(tab[r], prow)]
+    for cur in tab if obj is None else tab + [obj]:
+        factor = cur[col]
+        if factor and cur is not prow:
+            cur[:] = [a - factor * b for a, b in zip(cur, prow)]
     basis[row] = col
 
 
@@ -86,21 +90,100 @@ def _run_simplex(tab, basis, obj, allowed) -> bool:
                     leave = r
         if leave < 0:
             return False
-        _pivot(tab, basis, leave, enter)
-        factor = obj[enter]
-        if factor:
-            obj[:] = [o - factor * v for o, v in zip(obj, tab[leave])]
+        _pivot(tab, basis, leave, enter, obj)
 
 
-def lp_solve(
-    rows: Sequence[Sequence],
-    rhs: Sequence,
-    objective: Sequence,
-    *,
-    maximize: bool = True,
-    nonneg: bool = False,
-) -> LpResult:
+def _run_dual_simplex(tab, basis, obj) -> bool:
+    """Dual Bland pivoting until primal feasible (True) or proven infeasible (False).
+
+    The leaving row is the one with a negative right-hand side and the
+    smallest basic index; the entering column has the smallest ratio
+    ``obj[j] / row[j]`` over ``row[j] < 0``, ties to the smallest ``j``.
+    """
+    width = len(obj) - 1
+    while True:
+        leave = -1
+        for r, row in enumerate(tab):
+            if row[-1] < 0 and (leave < 0 or basis[r] < basis[leave]):
+                leave = r
+        if leave < 0:
+            return True
+        row = tab[leave]
+        enter = -1
+        best = None
+        for j in range(width):
+            if row[j] < 0:
+                ratio = obj[j] / row[j]
+                if best is None or ratio < best:
+                    best = ratio
+                    enter = j
+        if enter < 0:
+            return False
+        _pivot(tab, basis, leave, enter, obj)
+
+
+def _dual_phase_one(tab, basis, cost) -> list[bool] | None:
+    """Dual simplex on the cost clipped at 0, dual feasible at the slack basis.
+
+    Returns the allowed columns (all of them), or None when infeasible.
+    """
+    obj = _price(tab, basis, [min(c, 0) for c in cost])
+    if not _run_dual_simplex(tab, basis, obj):
+        return None
+    return [True] * len(cost)
+
+
+def _artificial_phase_one(tab, basis, cost) -> list[bool] | None:
+    """Primal phase 1 over one artificial column per row with a negative rhs.
+
+    Those rows are negated and their artificials start in the basis; after
+    phase 1 leftover artificials are driven out and redundant rows dropped.
+    Extends ``cost`` by a zero per artificial and returns the allowed
+    columns (artificials never again), or None when infeasible.
+    """
+    width = len(cost)
+    art_rows = [r for r, row in enumerate(tab) if row[-1] < 0]
+    for r, row in enumerate(tab):
+        if r in art_rows:
+            row[:] = [-v for v in row]
+        row[-1:-1] = [Fraction(int(art == r)) for art in art_rows]
+    for k, r in enumerate(art_rows):
+        basis[r] = width + k
+    cost += [Fraction(0)] * len(art_rows)
+    allowed = [True] * len(cost)
+    obj = _price(tab, basis, [Fraction(-1) if j >= width else 0 for j in range(len(cost))])
+    if not _run_simplex(tab, basis, obj, allowed):
+        raise InternalConsistencyError("phase 1 cannot be unbounded")
+    if -obj[-1] < 0:
+        return None
+    # drive leftover artificials out of the basis, drop redundant rows
+    drop = []
+    for r in range(len(tab)):
+        if basis[r] >= width:
+            pcol = next((j for j in range(width) if tab[r][j] != 0), None)
+            if pcol is None:
+                drop.append(r)
+            else:
+                _pivot(tab, basis, r, pcol)
+    for r in sorted(drop, reverse=True):
+        del tab[r]
+        del basis[r]
+    return [j < width for j in range(len(cost))]
+
+
+def lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence, *,
+             maximize: bool = True, nonneg: bool = False) -> LpResult:
     """Optimize ``objective . x`` subject to ``rows[j] . x <= rhs[j]``."""
+    return _solve(rows, rhs, objective, maximize, nonneg, _dual_phase_one)
+
+
+def two_phase_lp_solve(rows: Sequence[Sequence], rhs: Sequence, objective: Sequence, *,
+                       maximize: bool = True, nonneg: bool = False) -> LpResult:
+    """``lp_solve`` with the artificial phase 1; equal in status and value."""
+    return _solve(rows, rhs, objective, maximize, nonneg, _artificial_phase_one)
+
+
+def _solve(rows, rhs, objective, maximize, nonneg, phase_one) -> LpResult:
     n = len(objective)
     rows = [[Fraction(a) for a in row] for row in rows]
     rhs_orig = [Fraction(v) for v in rhs]
@@ -111,71 +194,28 @@ def lp_solve(
 
     m = len(rows)
     struct = n if nonneg else 2 * n
-    width = struct + m
 
-    negated = [v < 0 for v in rhs_orig]
-    art_rows = [j for j in range(m) if negated[j]]
-    total = width + len(art_rows)
-
+    # the slack basis: row j is body, slack j, rhs j
     tab: list[list[Fraction]] = []
     for j in range(m):
-        if nonneg:
-            body = list(rows[j])
-        else:
-            body = list(rows[j]) + [-a for a in rows[j]]
-        slack = [Fraction(0)] * m
-        slack[j] = Fraction(1)
-        b = rhs_orig[j]
-        if negated[j]:
-            body = [-a for a in body]
-            slack[j] = Fraction(-1)
-            b = -b
-        art = [Fraction(0)] * len(art_rows)
-        tab.append(body + slack + art + [b])
-    for k, j in enumerate(art_rows):
-        tab[j][width + k] = Fraction(1)
+        body = list(rows[j]) if nonneg else list(rows[j]) + [-a for a in rows[j]]
+        slack = [Fraction(int(k == j)) for k in range(m)]
+        tab.append(body + slack + [rhs_orig[j]])
+    basis = [struct + j for j in range(m)]
+    cost = (cprime if nonneg else cprime + [-c for c in cprime]) + [Fraction(0)] * m
 
-    basis = [width + art_rows.index(j) if negated[j] else struct + j for j in range(m)]
-    allowed = [True] * total
-
-    if art_rows:
-        cost1 = [Fraction(0)] * total
-        for k in range(len(art_rows)):
-            cost1[width + k] = Fraction(-1)
-        obj = _price(tab, basis, cost1)
-        if not _run_simplex(tab, basis, obj, allowed):
-            raise InternalConsistencyError("phase 1 cannot be unbounded")
-        if -obj[-1] < 0:
+    allowed = [True] * len(cost)
+    if any(v < 0 for v in rhs_orig):
+        allowed = phase_one(tab, basis, cost)
+        if allowed is None:
             return LpResult(LpStatus.INFEASIBLE)
-        # drive leftover artificials out of the basis, drop redundant rows
-        drop = []
-        for r in range(len(tab)):
-            if basis[r] >= width:
-                pcol = next((j for j in range(width) if tab[r][j] != 0), None)
-                if pcol is None:
-                    drop.append(r)
-                else:
-                    _pivot(tab, basis, r, pcol)
-        for r in sorted(drop, reverse=True):
-            del tab[r]
-            del basis[r]
-        for k in range(len(art_rows)):
-            allowed[width + k] = False
 
-    cost2 = [Fraction(0)] * total
-    if nonneg:
-        for i in range(n):
-            cost2[i] = cprime[i]
-    else:
-        for i in range(n):
-            cost2[i] = cprime[i]
-            cost2[n + i] = -cprime[i]
-    obj = _price(tab, basis, cost2)
+    obj = _price(tab, basis, cost)
     if not _run_simplex(tab, basis, obj, allowed):
         return LpResult(LpStatus.UNBOUNDED)
     vprime = -obj[-1]
 
-    assign = [Fraction(0)] * total
+    assign = [Fraction(0)] * len(cost)
     for r, bcol in enumerate(basis):
         assign[bcol] = tab[r][-1]
     if nonneg:
@@ -191,8 +231,8 @@ def _certify(rows, rhs, cprime, nonneg, obj, struct, m, point, vprime):
     """Exact optimality certificate from the final reduced costs.
 
     The multiplier of row j is the negated reduced cost of its slack column;
-    the formula is unaffected by rows that were flipped for phase 1 because
-    flipping negates both the column and the multiplier.
+    the formula is unaffected by rows that the artificial phase 1 negated
+    because negating a row negates both its slack column and its multiplier.
     """
     n = len(cprime)
     duals = [-obj[struct + j] for j in range(m)]

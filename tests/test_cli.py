@@ -441,6 +441,27 @@ class TestCheck:
             "REASON lam entry 1/3 not in {0, 1/2}",
         ]
 
+    @pytest.mark.parametrize("lower, upper, extra, reason", [
+        ("0 1 1", "1 1 1", ["--lambda", "1/2", "0", "0", "--mu-down", "1/2", "0", "0"],
+         "mu_down used at coordinate 1 but the lower bound is absent"),
+        ("1 1 1", "1 0 1", ["--lambda", "0", "0", "0", "--mu-up", "0", "1/2", "0"],
+         "mu_up used at coordinate 2 but the upper bound is absent"),
+        ("1 1 1", "1 1 1", ["--lambda", "1/2", "0", "0"],
+         "coefficient 1/2 at coordinate 1 is not integral"),
+        ("1 1 1", "1 1 1",
+         ["--lambda", "0", "0", "0", "--mu-down", "0", "1/2", "0", "--mu-up", "0", "1/2", "0"],
+         "mu_down and mu_up both nonzero at coordinate 2"),
+    ])
+    def test_invalid_multipliers_number_coordinates_from_1(self, k3_paths, tmp_path, capsys,
+                                                           lower, upper, extra, reason):
+        _, xhat, _ = k3_paths
+        inst = tmp_path / "bounds.inst"
+        inst.write_text(K3_FILE.replace("LOWER\n1 1 1", f"LOWER\n{lower}")
+                        .replace("UPPER\n1 1 1", f"UPPER\n{upper}"))
+        code = run_command(["check", "--instance", str(inst), "--xhat", xhat] + extra)
+        assert code == 0
+        assert capsys.readouterr().out == f"VALID no\nREASON {reason}\n"
+
     @pytest.mark.parametrize("extra, expected", [
         (["--lambda", "1/2", "1/2"], "--lambda has 2 entries, expected 3 (one per row)"),
         (["--lambda", "1/2", "1/2", "1/2", "0"], "--lambda has 4 entries, expected 3 (one per row)"),

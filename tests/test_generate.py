@@ -6,6 +6,7 @@ import pytest
 
 from zerohalf.core import ZeroHalfError, is_integral
 from zerohalf.generate import (
+    PROFILES,
     gen_graph,
     gen_primal_case,
     gen_sandwich_case,
@@ -43,6 +44,20 @@ def test_points_are_feasible_and_shaped():
 def test_explicit_sizes_respected():
     case = gen_primal_case(random.Random(14), rows=3, cols=5, profile="col2")
     assert case.instance.m == 3 and case.instance.n == 5
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_large_sizes_are_built_row_by_row(profile):
+    # whole-instance rejection gave up at 48x32 for every profile
+    case = gen_primal_case(random.Random(1), 48, 32, profile)
+    inst = case.instance
+    assert (inst.m, inst.n) == (48, 32)
+    assert inst.feasibility_failure(case.xhat) is None
+    assert inst.feasibility_failure(case.xstar) is None
+    assert is_integral(case.xhat) and not is_integral(case.xstar)
+    if profile != "mixed":
+        lines = zip(*inst.A) if profile == "col2" else inst.A
+        assert all(sum(v % 2 for v in line) <= 2 for line in lines)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

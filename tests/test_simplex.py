@@ -9,12 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zerohalf import matching, simplex
+from zerohalf.closure import ApproxParams, approx_optimize
 from zerohalf.core import Cut, InternalConsistencyError, LpInfeasibleError, Multipliers
+from zerohalf.generate import gen_graph, gen_sandwich_case
 from zerohalf.matching import WeightedGraph
 from zerohalf.simplex import LpStatus, add_cut, lp_solve
 
 from reference_simplex import box_rows as reference_box_rows
 from reference_simplex import lp_solve as reference_lp_solve
+from reference_simplex import two_phase_lp_solve
 
 F = Fraction
 
@@ -167,10 +170,10 @@ def _random_lp(rng: random.Random):
     """Rows, rhs, objective and flags of a small LP with mixed denominators.
 
     Negative right-hand sides send rows through phase 1; scaled copies of
-    rows, and equations written as row pairs, leave artificials in the
-    basis at level zero that must be driven out after phase 1, sometimes
-    by a negative pivot.  Missing box rows leave room for unbounded optima,
-    and conflicting rows for infeasible ones.
+    rows, and equations written as row pairs, make degenerate bases (and,
+    in the two-phase oracle, artificials left in the basis at level zero).
+    Missing box rows leave room for unbounded optima, and conflicting rows
+    for infeasible ones.
     """
     n = rng.randint(1, 4)
 
@@ -232,9 +235,10 @@ class TestAgainstReference:
             rows, rhs, c, maximize, nonneg = _random_lp(rng)
             got = solve(rows, rhs, c, maximize, lower_present=[nonneg] * len(c))
             ref = reference_lp_solve(rows, rhs, c, maximize=maximize, nonneg=nonneg)
-            assert (got.status, got.value, got.point) == (ref.status, ref.value, ref.point), (
-                f"trial {trial}: {rows} {rhs} {c} max={maximize} nonneg={nonneg}"
-            )
+            context = f"trial {trial}: {rows} {rhs} {c} max={maximize} nonneg={nonneg}"
+            assert (got.status, got.value, got.point) == (ref.status, ref.value, ref.point), context
+            old = two_phase_lp_solve(rows, rhs, c, maximize=maximize, nonneg=nonneg)
+            assert (got.status, got.value) == (old.status, old.value), context
             seen.add((got.status, nonneg, any(v < 0 for v in rhs)))
         statuses = {s for s, _, _ in seen}
         assert statuses == set(LpStatus)
@@ -250,27 +254,25 @@ class TestAgainstReference:
           [F(-1, 3), F(-1, 3), F(-4, 3), F(2, 3)]],
          [-4, F(-1, 2), 0, F(-5, 3)], [2, 3, 2, 2], [0, 0, 0, 3], False),
     ])
-    def test_phase_one_weighs_artificials_by_their_row_scale(self, rows, rhs, upper, c,
+    def test_tied_optima_after_phase_one_match_the_reference(self, rows, rhs, upper, c,
                                                              maximize):
-        # Tied optima where a phase-1 cost of -1 on every scaled artificial
-        # (instead of -L/s_j) takes another pivot path to another vertex.
+        # Tied optima with mixed row scales behind phase 1: a pivot path that
+        # strays from the Fraction tableau ends at another vertex.  The
+        # artificial two-phase method may end at another vertex too, so it
+        # is compared on the value only.
         rows = rows + [[int(i == k) for i in range(4)] for k in range(4)]
         got = solve(rows, rhs + upper, c, maximize, lower_present=[True] * 4)
         ref = reference_lp_solve(rows, rhs + upper, c, maximize=maximize, nonneg=True)
+        old = two_phase_lp_solve(rows, rhs + upper, c, maximize=maximize, nonneg=True)
         assert got.status is LpStatus.OPTIMAL
         assert (got.value, got.point) == (ref.value, ref.point)
+        assert got.value == old.value
 
     def test_solve_matching_lp_sequence_on_a_triangle_chain(self, monkeypatch):
         # one cold solve, then one warm re-optimisation per cut: each optimum
         # has the value of the reference solver on the rows stacked so far
         k = 5
-        edges = []
-        for t in range(k):
-            a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
-            edges += [(a, b, 1), (b, c, 1), (a, c, 1)]
-            if t + 1 < k:
-                edges.append((c, c + 1, 1))
-        graph = WeightedGraph(3 * k, tuple(edges))
+        graph = _triangle_chain(k)
         inst = matching.incidence_instance(graph)
         rows, rhs = list(inst.A), list(inst.b)
         optima = []
@@ -299,11 +301,114 @@ class TestAgainstReference:
             _assert_feasible(got.point, stacked, b, lower, upper)
 
 
+def _triangle_chain(k):
+    """k unit-weight triangles, consecutive ones joined by one edge."""
+    edges = []
+    for t in range(k):
+        a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
+        edges += [(a, b, 1), (b, c, 1), (a, c, 1)]
+        if t + 1 < k:
+            edges.append((c, c + 1, 1))
+    return WeightedGraph(3 * k, tuple(edges))
+
+
 def _assert_feasible(point, rows, rhs, lower, upper):
     for row, b in zip(rows, rhs):
         assert sum(F(a) * x for a, x in zip(row, point)) <= b
     for x, low, up in zip(point, lower, upper):
         assert not (low and x < 0) and not (up and x > 1)
+
+
+@st.composite
+def _lps_with_negative_rhs(draw):
+    """A boxed LP with mixed denominators and at least one negative rhs."""
+    n = draw(st.integers(1, 3))
+    entry = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 1, 2, 3, 4)))
+    m = draw(st.integers(1, 4))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    assume(any(v < 0 for v in rhs))
+    c = draw(st.lists(entry, min_size=n, max_size=n))
+    lower = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    upper = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return rows, rhs, c, lower, upper
+
+
+class TestPhaseOne:
+    """Dual simplex pivots on the clipped cost find the first feasible basis."""
+
+    def test_negative_rhs_lps_agree_with_the_two_phase_oracle(self, monkeypatch):
+        certified = []
+        original = simplex._certify
+
+        def spy(*args):
+            original(*args)
+            certified.append(None)
+
+        monkeypatch.setattr(simplex, "_certify", spy)
+        seen = set()
+
+        @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+        @given(_lps_with_negative_rhs())
+        def check(lp):
+            rows, rhs, c, lower, upper = lp
+            certified.clear()
+            got = lp_solve(rows, rhs, c, lower_present=lower, upper_present=upper)
+            old = two_phase_lp_solve(*_boxed(rows, rhs, lower, upper), c)
+            assert (got.status, got.value) == (old.status, old.value)
+            assert len(certified) == (got.status is LpStatus.OPTIMAL)
+            if got.status is LpStatus.OPTIMAL:
+                _assert_feasible(got.point, rows, rhs, lower, upper)
+            seen.add(got.status)
+            seen.add(("free", not all(lower)))
+            seen.add(("upper", any(upper)))
+            seen.add(("fraction", any(v.denominator > 1 for row in rows for v in row)))
+
+        check()
+        assert set(LpStatus) | {("free", True), ("upper", True), ("fraction", True)} <= seen
+
+    def test_phase_one_prices_the_cost_clipped_at_zero(self):
+        # max 2y over y <= 3, 2x/3 + 3y >= 2, 0 <= x <= 2: every point with
+        # y = 3 is optimal.  On the clipped cost (0, 0) the first dual pivot
+        # takes the smallest column, x, and the solve ends at (2, 3); on the
+        # cost itself y would enter and the solve end at (0, 3).
+        rows, rhs, c = [[0, 1], [F(-2, 3), -3], [1, 0]], [3, -2, 2], [0, 2]
+        got = lp_solve(rows, rhs, c, lower_present=[True, True])
+        ref = reference_lp_solve(rows, rhs, c, nonneg=True)
+        assert (got.value, got.point) == (ref.value, ref.point) == (6, (2, 3))
+
+    def test_cold_solves_of_matching_and_approx_skip_phase_one(self, monkeypatch):
+        # Their LPs have no negative right-hand side, so lp_solve never enters
+        # the dual simplex; only add_cut's warm solves do.
+        cold, inside, entered, warm = [], [], [], []
+        solve_cold, run_dual = simplex.lp_solve, simplex._run_dual_simplex
+
+        def spy_solve(rows, rhs, objective, **box):
+            cold.append(all(v >= 0 for v in rhs))
+            inside.append(None)
+            try:
+                return solve_cold(rows, rhs, objective, **box)
+            finally:
+                inside.pop()
+
+        def spy_dual(*args):
+            (entered if inside else warm).append(None)
+            return run_dual(*args)
+
+        monkeypatch.setattr(simplex, "lp_solve", spy_solve)
+        monkeypatch.setattr(simplex, "_run_dual_simplex", spy_dual)
+        rng = random.Random(20261021)
+        for k in (2, 3, 4):
+            matching.solve_matching(_triangle_chain(k))
+        for _ in range(20):
+            matching.solve_matching(gen_graph(rng, max_nodes=8))
+        assert cold and warm
+        for _ in range(20):
+            inst = gen_sandwich_case(rng)
+            for q in (2, 3):
+                approx_optimize(inst, None, ApproxParams(F(1, 2), q))
+        assert len(cold) > 40 and all(cold)
+        assert not entered
 
 
 class TestNativeBox:
