@@ -534,7 +534,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # a file that is not UTF-8, or a --rows/--cols too small for a gen profile
+        # a file that is not UTF-8
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ZeroHalfError as exc:

@@ -8,8 +8,8 @@ row of a single coordinate.  Each of those placements becomes a candidate;
 for a fixed candidate the remaining freedom is which tight rows join the
 row multiplier support, and the cheapest choice at xstar is a minimum cut.
 
-The graph for a candidate has one node per committed row (merged where
-contraction forces rows together) plus a sink.  Edges:
+The graph for a candidate has one node per committed row plus a sink.
+Edges:
 
 * a slack edge row -> sink with capacity slack_star of the row, paid
   whenever the row is selected;
@@ -19,29 +19,28 @@ contraction forces rows together) plus a sink.  Edges:
   exactly one endpoint is selected;
 * the same per single-odd column, running to the sink.
 
-Where the repair side is absent the coordinate cannot be fixed, so its odd
-rows are contracted (onto each other, or onto the sink for a single odd
-row); a candidate whose mandatory source row lands in the sink component
-is infeasible and skipped without a minimum-cut call.  A box candidate's
-own coordinate goes through the same single-odd-row rule with the source
-row left out of its column: the slack bound row already fixes the source
-there, so the other odd row must stay unselected, pinned to the sink or
-priced at the repair cost, which with the fixed cost reaches the scale.
-The odd rows of each column come from ``ctx.parity``.  Selected rows are
-the source side of the cut; doubled extended slack at xstar equals the
-candidate's fixed cost plus the cut value.  Capacities and costs are
-integer numerators over ``ctx.scale``, so a candidate yields a violated
-cut exactly when that total stays below the scale.
+Where the repair side is absent the coordinate cannot be fixed, and its
+parity edge gets capacity ``ctx.scale``: a cut across it costs at least
+the scale, so the acceptance test rejects it like any other cut that is
+not violated.  A candidate whose source row is tied to the sink by such
+edges gets a minimum cut of at least the scale and is rejected the same
+way.  A box candidate's own coordinate goes through the same
+single-odd-row rule with the source row left out of its column: the
+slack bound row already fixes the source there, so the other odd row is
+priced at the repair cost (or the scale), which with the fixed cost
+reaches the scale.  The odd rows of each column come from ``ctx.parity``.
+Selected rows are the source side of the cut; doubled extended slack at
+xstar equals the candidate's fixed cost plus the cut value.  Capacities and
+costs are integer numerators over ``ctx.scale``, so a candidate yields a
+violated cut exactly when that total stays below the scale.
 
 Candidates differ only in their source row and one column, so the graph is
 a shared per-context structure plus the candidate's delta:
 ``tight_row_graph`` lists the tight rows, each column's odd tight rows and
-the slack and parity edges among them once per context, and
+capacity, and the slack and parity edges among them once per context, and
 ``build_cut_graph`` adds a slack row (and its odd columns) or drops a box
 candidate's source from its coordinate, on copies, rebuilding only the
-edges of the columns it touched.  The union-find runs only when a column
-without a repair side has odd committed rows; otherwise every row is its
-own node and the shared edges are used as they are.
+edges of the columns it touched.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .core import (
 )
 from .graphs import Edge, Graph, min_cut
 
-_SINK = -1  # sentinel union-find element; real rows are >= 0
+_SINK = -1  # the sink node; real rows are >= 0
 
 
 @dataclass(frozen=True)
@@ -83,14 +82,12 @@ class ColCandidate:
 
 @dataclass
 class CutGraphInfo:
-    """Built graph for one candidate, or the fact that it collapsed."""
+    """Built graph for one candidate: source ``candidate.source_row``, sink ``_SINK``."""
 
     candidate: ColCandidate
-    collapsed: bool
-    graph: Graph | None
-    source: int | None
-    sink: int | None
-    members: dict[int, tuple[int, ...]]
+    graph: Graph
+    # read by the bench tracer (bench/tracing.py); no candidate collapses
+    collapsed = False
 
 
 def enumerate_col_candidates(ctx: SeparationContext) -> list[ColCandidate]:
@@ -107,47 +104,27 @@ def enumerate_col_candidates(ctx: SeparationContext) -> list[ColCandidate]:
     return out
 
 
-class _UnionFind:
-    def __init__(self, elems):
-        self.parent = {e: e for e in elems}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller id as root so the sink sentinel survives
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class TightRowGraph:
     """The part of every candidate's cut graph that the context fixes.
 
     ``rows`` are the tight rows in index order, ``slack_edges`` their slack
     edges to the sink (aligned with ``rows``), ``odd[i]`` the odd tight rows
-    of column i, ``col_edges[i]`` the parity edge of a repairable column i
-    with odd tight rows (else None), and ``unrepairable`` the columns with
-    no repair side.  Candidates share these objects and never change them.
+    of column i, ``caps[i]`` the capacity of column i's parity edge (its
+    repair cost, or the scale where it has no repair side) and
+    ``col_edges[i]`` that edge among the odd tight rows (None if there are
+    none).  Candidates share these objects and never change them.
     """
 
     rows: tuple[int, ...]
     slack_edges: tuple[Edge, ...]
     odd: tuple[tuple[int, ...], ...]
+    caps: tuple[int, ...]
     col_edges: tuple[Edge | None, ...]
-    unrepairable: tuple[int, ...]
 
 
-def _col_edge(cap: int | None, i: int, rows: tuple[int, ...]) -> Edge | None:
-    if cap is None or not rows:
+def _col_edge(cap: int, i: int, rows: tuple[int, ...]) -> Edge | None:
+    if not rows:
         return None
     return Edge(rows[0], rows[1] if len(rows) == 2 else _SINK, cap, ("col", i))
 
@@ -158,13 +135,13 @@ def tight_row_graph(ctx: SeparationContext) -> TightRowGraph:
     odd = tuple(
         [tuple([v for v in col if v in ctx.tight_rows]) for col in ctx.parity.column_odd_rows]
     )
-    costs = ctx.tight_bound_cost
+    caps = tuple([ctx.scale if cap is None else cap for cap in ctx.tight_bound_cost])
     return TightRowGraph(
         rows,
         tuple([Edge(v, _SINK, ctx.slack_star[v], ("slack", v)) for v in rows]),
         odd,
-        tuple([_col_edge(cap, i, col) for i, (cap, col) in enumerate(zip(costs, odd))]),
-        tuple([i for i, cap in enumerate(costs) if cap is None]),
+        caps,
+        tuple([_col_edge(cap, i, col) for i, (cap, col) in enumerate(zip(caps, odd))]),
     )
 
 
@@ -197,52 +174,14 @@ def build_cut_graph(
     if changed:
         col_edges = list(col_edges)
         for i, col in changed.items():
-            col_edges[i] = _col_edge(ctx.tight_bound_cost[i], i, col)
-    col_edges = [e for e in col_edges if e is not None]
-
-    # no repair side: the odd rows travel together, or with the sink
-    pinned = [col for i in base.unrepairable if (col := changed.get(i, base.odd[i]))]
-    if not pinned:
-        # nothing contracts, so every row is its own node
-        nodes = rows + (_SINK,)
-        members = {v: (v,) for v in rows}
-        return CutGraphInfo(
-            cand, False, Graph(nodes, [*slack_edges, *col_edges]), j, _SINK, members
-        )
-
-    uf = _UnionFind(rows + (_SINK,))
-    for col in pinned:
-        uf.union(col[0], col[1] if len(col) == 2 else _SINK)
-    sink = uf.find(_SINK)
-    source = uf.find(j)
-    if source == sink:
-        return CutGraphInfo(cand, True, None, None, None, {})
-
-    edges = []
-    for v, e in zip(rows, slack_edges):
-        root = uf.find(v)
-        if root != sink:
-            edges.append(e if root == v else Edge(root, sink, e.weight, e.tag))
-    for e in col_edges:
-        a, b = uf.find(e.u), uf.find(e.v)
-        if a != b:
-            edges.append(e if (a, b) == (e.u, e.v) else Edge(a, b, e.weight, e.tag))
-
-    members: dict[int, list[int]] = {}
-    for v in rows:
-        members.setdefault(uf.find(v), []).append(v)
-    nodes = sorted(members) + ([sink] if sink not in members else [])
-    return CutGraphInfo(
-        cand, False, Graph(nodes, edges), source, sink,
-        {node: tuple(rows) for node, rows in members.items()},
-    )
+            col_edges[i] = _col_edge(base.caps[i], i, col)
+    edges = [*slack_edges, *[e for e in col_edges if e is not None]]
+    return CutGraphInfo(cand, Graph(rows + (_SINK,), edges))
 
 
 def extract_multipliers(ctx: SeparationContext, info: CutGraphInfo, source_side) -> Multipliers:
     """Multipliers for a selected row set, bound rows chosen by parity."""
-    rows = sorted(
-        r for node in source_side if node in info.members for r in info.members[node]
-    )
+    rows = sorted(source_side)
     odd: set[int] = set()
     for r in rows:
         odd.symmetric_difference_update(ctx.parity.row_odd_columns[r])
@@ -257,29 +196,25 @@ def extract_multipliers(ctx: SeparationContext, info: CutGraphInfo, source_side)
 def primal_separate_col(ctx: SeparationContext) -> SeparationResult:
     """Most violated cut that is tight and nontrivial at xhat, if any.
 
-    Runs at most one minimum cut per candidate, hence at most m + 2n in
-    total.  Ties on the violation keep the earliest candidate (slack rows
-    in index order, then bound candidates by coordinate and source row).
+    Runs one minimum cut per candidate, hence at most m + 2n in total.
+    Ties on the violation keep the earliest candidate (slack rows in index
+    order, then bound candidates by coordinate and source row).
     """
     if not ctx.parity.column_method_ok:
         raise MethodNotApplicableError("a column of A has more than two odd entries")
+    cands = enumerate_col_candidates(ctx)
+    if len(cands) > ctx.instance.m + 2 * ctx.instance.n:
+        raise InternalConsistencyError("minimum-cut budget exceeded")
     best: tuple[int, Cut, Fraction] | None = None
-    calls = 0
     base = tight_row_graph(ctx)
-    for cand in enumerate_col_candidates(ctx):
+    for cand in cands:
         info = build_cut_graph(ctx, cand, base)
-        if info.collapsed:
-            continue
-        res = min_cut(info.graph, info.source, info.sink)
-        calls += 1
+        res = min_cut(info.graph, cand.source_row, _SINK)
         total = cand.fixed_cost + res.value
         if total >= (best[0] if best else ctx.scale):
             continue
         mult = extract_multipliers(ctx, info, res.source_side)
         best = (total, *accept_cut(ctx, mult, total))
-    limit = ctx.instance.m + 2 * ctx.instance.n
-    if calls > limit:
-        raise InternalConsistencyError("minimum-cut budget exceeded")
     if best is None:
-        return SeparationResult(None, None, calls)
-    return SeparationResult(best[1], best[2], calls)
+        return SeparationResult(None, None, len(cands))
+    return SeparationResult(best[1], best[2], len(cands))

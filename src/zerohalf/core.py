@@ -540,9 +540,10 @@ def objective_of(
 class SeparationResult:
     """Outcome of one separation attempt.
 
-    calls counts invocations of the graph subroutine (minimum cuts for the
-    column method, shortest paths for the row method); candidates that were
-    ruled out without touching a graph do not count.
+    calls counts invocations of the graph subroutine: one minimum cut per
+    candidate for the column method, one shortest path per candidate with
+    a path to find for the row method (a candidate without one skips the
+    graph and does not count).
     """
 
     cut: Cut | None

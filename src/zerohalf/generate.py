@@ -37,18 +37,19 @@ class PrimalCase:
 def _odd_pattern(rng: random.Random, m: int, n: int, profile: str) -> list[list[bool]] | None:
     """Which entries of A are odd: at most two per column (col2) or row (row2).
 
+    A draw of two odd entries in a line of length one takes the one entry.
     None for mixed, which applies no parity control.
     """
     if profile == "col2":
         odd = [[False] * n for _ in range(m)]
         for i in range(n):
-            for j in rng.sample(range(m), rng.randrange(0, 3)):
+            for j in rng.sample(range(m), min(rng.randrange(0, 3), m)):
                 odd[j][i] = True
         return odd
     if profile == "row2":
         odd = []
         for _ in range(m):
-            cols = rng.sample(range(n), rng.randrange(0, 3))
+            cols = rng.sample(range(n), min(rng.randrange(0, 3), n))
             odd.append([i in cols for i in range(n)])
         return odd
     if profile == "mixed":

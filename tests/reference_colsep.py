@@ -2,23 +2,63 @@
 
 These are the ``enumerate_col_candidates``, ``build_cut_graph`` and
 ``extract_multipliers`` that ``zerohalf.colsep`` ran before the odd
-positions of A moved into ``SeparationContext.parity``.  They rescan A for
-the odd committed rows of every column, and treat a box candidate's own
-coordinate by a branch of its own: the other odd row of that column (the
-partner) is pinned to the sink when the coordinate cannot be repaired,
-else joined to the sink by a ``("partner", i)`` edge at the repair cost.
-Bound rows are chosen by per-coordinate down/up branches.  The builder
-returns the package's ``Graph`` and ``CutGraphInfo``, so the package must
-list the same candidates and give each the same collapsed flag,
-minimum-cut value, selected rows and multipliers.  Kept only as a test
-oracle; nothing in the package imports it.
+positions of A moved into ``SeparationContext.parity``, and before a column
+without a repair side became a parity edge of capacity ``ctx.scale``.  They
+rescan A for the odd committed rows of every column, and contract the odd
+rows of a column without a repair side by a union-find (onto each other, or
+onto the sink for a single odd row); a candidate whose source row lands in
+the sink's class is reported as collapsed, with no graph.  A box
+candidate's own coordinate has a branch of its own: the other odd row of
+that column (the partner) is pinned to the sink when the coordinate cannot
+be repaired, else joined to the sink by a ``("partner", i)`` edge at the
+repair cost.  Bound rows are chosen by per-coordinate down/up branches.
+The builder returns the package's ``Graph`` inside its own ``CutGraphInfo``
+with ``source``, ``sink`` and the ``members`` of every contracted node.
+Below the scale, the package's minimum cut must price and select exactly
+what this one does; a collapsed candidate counts as the scale.  Kept only
+as a test oracle; nothing in the package imports it.
 """
 
 from __future__ import annotations
 
-from zerohalf.colsep import _SINK, ColCandidate, CutGraphInfo, _UnionFind
+from dataclasses import dataclass
+
+from zerohalf.colsep import _SINK, ColCandidate
 from zerohalf.core import InternalConsistencyError, Multipliers, SeparationContext
 from zerohalf.graphs import Edge, Graph
+
+
+@dataclass
+class CutGraphInfo:
+    """Built graph for one candidate, or the fact that it collapsed."""
+
+    candidate: ColCandidate
+    collapsed: bool
+    graph: Graph | None
+    source: int | None
+    sink: int | None
+    members: dict[int, tuple[int, ...]]
+
+
+class _UnionFind:
+    def __init__(self, elems):
+        self.parent = {e: e for e in elems}
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # keep the smaller id as root so the sink sentinel survives
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
 
 
 def enumerate_col_candidates(ctx: SeparationContext) -> list[ColCandidate]:

@@ -571,26 +571,25 @@ class TestGen:
 
 
     @pytest.mark.parametrize("profile, rows, cols", [("col2", "1", "3"), ("row2", "3", "1")])
-    def test_size_too_small_for_profile_is_usage_error(
+    def test_one_row_or_column_fits_every_profile(
         self, tmp_path, capsys, monkeypatch, profile, rows, cols
     ):
-        # a profile that puts two odd entries in a column (row) needs two
-        # rows (columns); whether a seed asks for two is up to the draw
+        # a draw of two odd entries in a column (row) of length one takes
+        # the one entry, so every seed writes a case its method accepts
         monkeypatch.chdir(tmp_path)
-        codes = set()
+        method = "col" if profile == "col2" else "row"
         for seed in range(1, 7):
             argv = ["gen", "--seed", str(seed), "--rows", rows, "--cols", cols,
                     "--profile", profile, "--out", f"c{seed}"]
-            code = run_command(argv)
+            assert run_command(argv) == 0
             captured = capsys.readouterr()
-            codes.add(code)
-            if code == 1:
-                assert captured.err.startswith("usage error: ")
-                assert captured.err.count("\n") == 1
-                assert captured.out == ""
-            else:
-                assert code == 0 and captured.err == ""
-        assert codes == {0, 1}
+            assert captured.err == ""
+            inst = parse_instance((tmp_path / f"c{seed}.inst").read_text())
+            assert (inst.m, inst.n) == (int(rows), int(cols))
+            argv = ["separate", "--instance", f"c{seed}.inst", "--xhat", f"c{seed}.xhat",
+                    "--xstar", f"c{seed}.xstar", "--method", method]
+            assert run_command(argv) == 0
+            assert capsys.readouterr().out.startswith(("CUT", "NONE"))
 
 
 class TestGarbage:

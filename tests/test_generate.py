@@ -7,6 +7,7 @@ import pytest
 from zerohalf.core import ZeroHalfError, is_integral
 from zerohalf.generate import (
     PROFILES,
+    _odd_pattern,
     gen_graph,
     gen_primal_case,
     gen_sandwich_case,
@@ -58,6 +59,42 @@ def test_large_sizes_are_built_row_by_row(profile):
     if profile != "mixed":
         lines = zip(*inst.A) if profile == "col2" else inst.A
         assert all(sum(v % 2 for v in line) <= 2 for line in lines)
+
+
+@pytest.mark.parametrize("profile, rows, cols", [("col2", 1, 4), ("row2", 4, 1)])
+def test_one_row_or_column_fits_the_profile(profile, rows, cols):
+    # a draw of two odd entries in a line of length one takes the one entry
+    rng = random.Random(15)
+    for _ in range(30):
+        case = gen_primal_case(rng, rows, cols, profile)
+        inst = case.instance
+        assert (inst.m, inst.n) == (rows, cols)
+        assert inst.feasibility_failure(case.xhat) is None
+        assert inst.feasibility_failure(case.xstar) is None
+
+
+@pytest.mark.parametrize("profile", ["col2", "row2"])
+def test_odd_pattern_draws_as_before_from_two_rows_and_columns(profile):
+    """At every size of at least 2 the pattern makes the same rng calls as
+    the unclipped ``rng.sample(range(size), rng.randrange(0, 3))``."""
+    rng = random.Random(16)
+    for _ in range(200):
+        m, n = rng.randrange(2, 7), rng.randrange(2, 7)
+        state = rng.getstate()
+        got = _odd_pattern(rng, m, n, profile)
+        after = rng.getstate()
+        rng.setstate(state)
+        if profile == "col2":
+            want = [[False] * n for _ in range(m)]
+            for i in range(n):
+                for j in rng.sample(range(m), rng.randrange(0, 3)):
+                    want[j][i] = True
+        else:
+            want = []
+            for _ in range(m):
+                cols = rng.sample(range(n), rng.randrange(0, 3))
+                want.append([i in cols for i in range(n)])
+        assert got == want and rng.getstate() == after
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
